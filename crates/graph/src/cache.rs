@@ -1638,6 +1638,8 @@ mod tests {
     #[test]
     fn windowed_load_is_bit_identical_to_resident_loads() {
         let (cache, dir) = temp_cache("windowed");
+        // Its own recorder: tests running alongside move the global counts.
+        let cache = cache.with_recorder(Recorder::scoped());
         let edges = generators::rmat(300, 1400, 5).unwrap();
         let grid = ShardGrid::build(&edges, 32).unwrap();
         let key = ArtifactCache::grid_key("dataset/win/seed5", 32, false);
@@ -1651,13 +1653,13 @@ mod tests {
         let arena = grid.total_edges() as u64 * 8;
         // Window sizes: always-stream, one max shard, exact fit, oversized.
         for window_bytes in [0, largest, arena, 1 << 30] {
-            let before = memory::memory_telemetry();
+            let before = cache.recorder().memory_stats();
             let windowed = cache
                 .load_grid_windowed(&key, window_bytes)
                 .unwrap()
                 .expect("hit");
             assert!(windowed.is_windowed());
-            let after = memory::memory_telemetry();
+            let after = cache.recorder().memory_stats();
             assert!(
                 after.grid_segment_loads > before.grid_segment_loads,
                 "windowed opens count as segmented loads"

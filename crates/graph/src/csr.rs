@@ -51,15 +51,19 @@ impl CsrGraph {
             sources[slot] = e.src;
             cursor[e.dst as usize] += 1;
         }
-        // Sort each neighbour list for deterministic iteration.
+        // Sort each neighbour list for deterministic iteration. A
+        // `(src, dst)`-sorted input scatters every row's sources in
+        // ascending order already.
         let mut graph = Self {
             num_nodes,
             offsets,
             sources,
         };
-        for v in 0..num_nodes {
-            let (start, end) = (graph.offsets[v], graph.offsets[v + 1]);
-            graph.sources[start..end].sort_unstable();
+        if !edges.is_sorted() {
+            for v in 0..num_nodes {
+                let (start, end) = (graph.offsets[v], graph.offsets[v + 1]);
+                graph.sources[start..end].sort_unstable();
+            }
         }
         graph
     }
@@ -175,6 +179,28 @@ mod tests {
         assert_eq!(list.num_edges(), g.num_edges());
         let g2 = CsrGraph::from_edge_list(&list);
         assert_eq!(g, g2);
+    }
+
+    #[test]
+    fn sorted_and_unsorted_inputs_build_the_same_csr() {
+        // A scrambled edge stream with hubs, duplicates and self-loops; the
+        // sorted copy takes the no-sort path, the original the sorting one.
+        let n = 37u32;
+        let pairs: Vec<(NodeId, NodeId)> = (0..500u32)
+            .map(|i| ((i * 7919 + 3) % n, (i * i + 11 * i) % n))
+            .chain([(5, 5), (0, 1), (0, 1), (36, 0)])
+            .collect();
+        let unsorted = EdgeList::from_pairs(n as usize, &pairs).unwrap();
+        assert!(!unsorted.is_sorted());
+        let mut sorted_pairs = pairs.clone();
+        sorted_pairs.sort_unstable();
+        let sorted = EdgeList::from_pairs(n as usize, &sorted_pairs).unwrap();
+        assert!(sorted.is_sorted());
+        let from_sorted = CsrGraph::from_edge_list(&sorted);
+        assert_eq!(from_sorted, CsrGraph::from_edge_list(&unsorted));
+        for v in 0..n {
+            assert!(from_sorted.neighbors(v).windows(2).all(|w| w[0] <= w[1]));
+        }
     }
 
     #[test]

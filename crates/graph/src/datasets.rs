@@ -8,9 +8,11 @@
 //! qualitatively), so the reproduction's speedup *shapes* carry over even
 //! though the node features themselves are random.
 
-use crate::{generators, CsrGraph, EdgeList, GraphError, NodeFeatures};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::generators::{self, DrawStream};
+use crate::{CsrGraph, EdgeList, GraphError, NodeFeatures};
+use gnnerator_tensor::Matrix;
+use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -187,7 +189,9 @@ impl DatasetSpec {
     ///
     /// The graph topology comes from [`generators::rmat_exact`]; node features
     /// are drawn uniformly from `[0, 1)` with the same seed, which mimics the
-    /// sparsity-free dense feature tables DGL hands to the accelerator.
+    /// sparsity-free dense feature tables DGL hands to the accelerator. Entry
+    /// `(v, d)` is draw `v·dim + d` of the feature stream, so row blocks are
+    /// filled in parallel with the bits of one serial row-major pass.
     ///
     /// # Errors
     ///
@@ -209,10 +213,7 @@ impl DatasetSpec {
         let start = std::time::Instant::now();
         let edge_list = generators::rmat_exact(self.vertices, self.edges, seed)?;
         let graph = CsrGraph::from_edge_list(&edge_list);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let features = NodeFeatures::from_fn(self.vertices, self.feature_dim, |_, _| {
-            rng.gen_range(0.0..1.0)
-        });
+        let features = synthesize_features(self.vertices, self.feature_dim, seed);
         Ok(Dataset {
             spec: *self,
             seed,
@@ -325,6 +326,29 @@ impl DatasetSpec {
     }
 }
 
+/// Rows per parallel block of the feature fill.
+const FEATURE_BLOCK_ROWS: usize = 1 << 10;
+
+/// The `num_nodes × dim` feature table of [`DatasetSpec::synthesize`]:
+/// uniform `[0, 1)` values, row-major, from the stream seeded with
+/// `seed · 0x2545_f491_4f6c_dd1d`. Each block of rows jumps to its first
+/// draw, so the blocks fill in parallel.
+fn synthesize_features(num_nodes: usize, dim: usize, seed: u64) -> NodeFeatures {
+    let stream = DrawStream::seeded(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+    let block_len = (FEATURE_BLOCK_ROWS * dim).max(1);
+    let mut values = vec![0.0f32; num_nodes * dim];
+    let mut blocks: Vec<(usize, &mut [f32])> = values.chunks_mut(block_len).enumerate().collect();
+    blocks.par_iter_mut().for_each(|(index, block)| {
+        let mut rng = stream.skip((*index * block_len) as u64);
+        for value in block.iter_mut() {
+            *value = rng.gen_range(0.0..1.0);
+        }
+    });
+    drop(blocks);
+    let matrix = Matrix::from_vec(num_nodes, dim, values).expect("num_nodes × dim values");
+    NodeFeatures::from_matrix(matrix)
+}
+
 impl fmt::Display for DatasetSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -391,6 +415,26 @@ pub fn synthesize_all(seed: u64) -> Result<Vec<Dataset>, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parallel_feature_fill_matches_the_serial_row_major_pass() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // Three row blocks, the last one partial.
+        let (n, dim, seed) = (2 * FEATURE_BLOCK_ROWS + 37, 3, 9u64);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let serial = NodeFeatures::from_fn(n, dim, |_, _| rng.gen_range(0.0..1.0));
+        let parallel = synthesize_features(n, dim, seed);
+        assert_eq!(parallel.num_nodes(), n);
+        for v in 0..n {
+            let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(parallel.feature(v)),
+                bits(serial.feature(v)),
+                "row {v}"
+            );
+        }
+    }
 
     #[test]
     fn table_ii_specs_match_the_paper() {

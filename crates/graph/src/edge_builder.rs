@@ -1,32 +1,32 @@
 //! Streaming, chunked edge-list construction with optional disk spilling.
 //!
-//! The synthetic generators used to build one giant `Vec<Edge>` and sort it
-//! at the end — an `O(E log E)` single-threaded wall that made ogbn-scale
-//! graphs (millions of edges) the cold-start bottleneck of every sweep. The
-//! [`EdgeListBuilder`] replaces that flow with the classic external-sort
-//! shape:
+//! Generators stream edges into an [`EdgeListBuilder`], which turns them
+//! into one sorted, duplicate-free [`EdgeList`]:
 //!
-//! 1. generators *stream* edges into the builder, which seals them into
-//!    fixed-capacity chunks;
+//! 1. pushed edges are sealed into fixed-capacity chunks;
 //! 2. sealed chunks stay in memory while they fit the builder's
 //!    [`MemoryBudget`]; beyond the cap a chunk is sorted immediately and
 //!    spilled to a `spill-<pid>-<nonce>.run` file (raw little-endian
 //!    `(src, dst)` pairs) in the cache directory;
-//! 3. [`EdgeListBuilder::finish`] sorts the remaining in-memory chunks
-//!    **in parallel** (rayon) and k-way merges every cursor — in-memory
-//!    slices and buffered spill-file readers alike — into one globally
-//!    sorted, duplicate-free [`EdgeList`] in a single pass.
+//! 3. [`EdgeListBuilder::try_finish`] then takes one of two paths. When
+//!    nothing spilled, one radix sort over the packed `(src << 32) | dst`
+//!    keys orders every chunk at once: a first pass buckets edges by their
+//!    source's top bits, freeing each chunk as it goes, and the buckets are
+//!    sorted — a counting pass on the rest of the source, then each
+//!    source's destinations — and deduplicated in parallel (rayon).
+//!    When chunks spilled, the in-memory chunks are sorted in parallel and
+//!    k-way merged with buffered readers over the run-files in one pass.
 //!
-//! The output is bit-identical to `collect → sort_unstable → dedup` on the
-//! same edge multiset regardless of how many chunks spilled (the property
-//! tests pin this), so the generators' seeded determinism is preserved.
-//! Spill run-files are deleted as soon as the merge consumes them; files
-//! orphaned by a crash are reaped by the
+//! Either way the output is bit-identical to `collect → sort_unstable →
+//! dedup` on the same edge multiset, however many chunks spilled (the
+//! property tests pin this), so the generators' seeded determinism is
+//! preserved. Spill run-files are deleted as soon as the merge consumes
+//! them; files orphaned by a crash are reaped by the
 //! [`ArtifactCache`](crate::ArtifactCache) startup sweep.
 
 use crate::cache;
 use crate::memory::MemoryBudget;
-use crate::{Edge, EdgeList, GraphError};
+use crate::{Edge, EdgeList, GraphError, NodeId};
 use gnnerator_observe::Recorder;
 use rayon::prelude::*;
 use std::cmp::Reverse;
@@ -34,6 +34,7 @@ use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Default number of edges per sealed chunk (~512 KiB of edge records): big
 /// enough that per-chunk sort overhead amortises, small enough that a dozen
@@ -190,6 +191,32 @@ impl EdgeListBuilder {
     /// Returns [`GraphError::NodeOutOfRange`] if an endpoint is
     /// `>= num_nodes`.
     pub fn push(&mut self, edge: Edge) -> Result<(), GraphError> {
+        self.check(edge)?;
+        self.current.push(edge);
+        self.seal_if_full();
+        Ok(())
+    }
+
+    /// Streams a run of edges in order: the same as pushing each one, but
+    /// copied a chunk's worth at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfRange`] for the first edge with an
+    /// endpoint `>= num_nodes`; no edge of the run is pushed then.
+    pub fn extend_from_slice(&mut self, mut edges: &[Edge]) -> Result<(), GraphError> {
+        edges.iter().try_for_each(|&edge| self.check(edge))?;
+        while !edges.is_empty() {
+            let room = self.chunk_capacity - self.current.len();
+            let (head, rest) = edges.split_at(room.min(edges.len()));
+            self.current.extend_from_slice(head);
+            self.seal_if_full();
+            edges = rest;
+        }
+        Ok(())
+    }
+
+    fn check(&self, edge: Edge) -> Result<(), GraphError> {
         for node in [edge.src, edge.dst] {
             if node as usize >= self.num_nodes {
                 return Err(GraphError::NodeOutOfRange {
@@ -198,7 +225,10 @@ impl EdgeListBuilder {
                 });
             }
         }
-        self.current.push(edge);
+        Ok(())
+    }
+
+    fn seal_if_full(&mut self) {
         if self.current.len() >= self.chunk_capacity {
             let full = std::mem::replace(
                 &mut self.current,
@@ -206,7 +236,6 @@ impl EdgeListBuilder {
             );
             self.seal(full);
         }
-        Ok(())
     }
 
     /// Streams an edge and its reverse — the building block of symmetric
@@ -282,9 +311,10 @@ impl EdgeListBuilder {
         self.recorder.note_resident_bytes(bytes);
     }
 
-    /// Sorts all in-memory chunks in parallel, k-way merges every chunk —
-    /// in-memory and spilled — and returns the canonical edge list: sorted
-    /// by `(src, dst)`, duplicates removed.
+    /// Sorts every chunk — in memory and spilled — into the canonical edge
+    /// list: sorted by `(src, dst)`, duplicates removed. Builders that never
+    /// spilled take the in-memory radix sort; the others sort their
+    /// in-memory chunks in parallel and k-way merge them with the run-files.
     ///
     /// Self-loops are *kept* (the builder is policy-free); generators that
     /// need simple graphs simply never stream self-loops in.
@@ -298,24 +328,22 @@ impl EdgeListBuilder {
             let rest = std::mem::take(&mut self.current);
             self.seal(rest);
         }
-        self.mem_chunks
-            .par_iter_mut()
-            .for_each(|chunk| chunk.sort_unstable());
-
+        let mut chunks = std::mem::take(&mut self.mem_chunks);
+        let resident_bytes = (self.resident_edges * SPILL_RECORD_BYTES) as u64;
         let merged = if self.spilled.is_empty() {
-            match self.mem_chunks.len() {
-                0 => Vec::new(),
-                1 => {
-                    let mut only = self.mem_chunks.pop().expect("one chunk");
-                    only.dedup();
-                    only
-                }
-                _ => merge_chunks(&self.mem_chunks),
-            }
+            // The radix buckets and then the output fill as the chunks and
+            // then the buckets drain; on top come the buckets being sorted,
+            // at most a share of the edges each with 4-byte destinations.
+            self.note_resident(resident_bytes + resident_bytes / 2);
+            sort_dedup(self.num_nodes, chunks)
         } else {
-            merge_spilled(&self.mem_chunks, &self.spilled, self.budget)?
+            chunks
+                .par_iter_mut()
+                .for_each(|chunk| chunk.sort_unstable());
+            let merged = merge_spilled(&chunks, &self.spilled, self.budget)?;
+            self.note_resident((merged.len() * SPILL_RECORD_BYTES) as u64 + resident_bytes);
+            merged
         };
-        self.note_resident(((merged.len() + self.resident_edges) * SPILL_RECORD_BYTES) as u64);
         Ok(EdgeList::from_sorted_edges_unchecked(
             self.num_nodes,
             merged,
@@ -335,28 +363,101 @@ impl EdgeListBuilder {
     }
 }
 
-/// K-way merge of sorted chunks with duplicate elimination, via a min-heap of
-/// `(head edge, chunk index)` cursors: `O(E log k)` comparisons total.
-fn merge_chunks(chunks: &[Vec<Edge>]) -> Vec<Edge> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut out: Vec<Edge> = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; chunks.len()];
-    let mut heap: BinaryHeap<Reverse<(Edge, usize)>> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, chunk)| !chunk.is_empty())
-        .map(|(i, chunk)| Reverse((chunk[0], i)))
-        .collect();
-    while let Some(Reverse((edge, chunk_index))) = heap.pop() {
-        if out.last() != Some(&edge) {
-            out.push(edge);
-        }
-        cursors[chunk_index] += 1;
-        if let Some(&next) = chunks[chunk_index].get(cursors[chunk_index]) {
-            heap.push(Reverse((next, chunk_index)));
+/// Source bits above which [`sort_dedup`]'s first pass buckets edges: at
+/// most `2^10` buckets, few enough write streams for the caches.
+const TOP_SOURCE_BITS: u32 = 10;
+
+/// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates: a
+/// most-significant-digit-first radix sort of the packed
+/// `(src << 32) | dst` keys.
+///
+/// The first pass moves every edge into the bucket of its source's top
+/// [`TOP_SOURCE_BITS`] bits, freeing each chunk as soon as it is moved, so
+/// the buckets grow as the chunks drain. The buckets are then sorted in
+/// parallel (rayon), each by a counting pass on the rest of the source and
+/// a sort of each source's destinations, and concatenated in order.
+pub(crate) fn sort_dedup(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> {
+    let source_bits = (usize::BITS - num_nodes.saturating_sub(1).leading_zeros()).min(32);
+    let shift = source_bits.saturating_sub(TOP_SOURCE_BITS);
+    let mut counts = vec![0usize; 1 << (source_bits - shift)];
+    for edge in chunks.iter().flatten() {
+        counts[(edge.src >> shift) as usize] += 1;
+    }
+    let mut buckets: Vec<Vec<Edge>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for chunk in chunks {
+        for &edge in &chunk {
+            buckets[(edge.src >> shift) as usize].push(edge);
         }
     }
+    // Mutexes hand each bucket to the one worker that sorts it; the pool
+    // takes buckets in order as workers free up, which balances the skew.
+    let buckets: Vec<(usize, Mutex<Vec<Edge>>)> = buckets
+        .into_iter()
+        .enumerate()
+        .map(|(i, bucket)| (i << shift, Mutex::new(bucket)))
+        .collect();
+    let sorted: Vec<Vec<Edge>> = buckets
+        .par_iter()
+        .map(|(first, bucket)| {
+            let mut bucket = std::mem::take(&mut *bucket.lock().expect("sorted once"));
+            sort_bucket(&mut bucket, *first, 1 << shift);
+            bucket
+        })
+        .collect();
+    let mut out = Vec::with_capacity(sorted.iter().map(Vec::len).sum());
+    for bucket in sorted {
+        out.extend_from_slice(&bucket);
+    }
     out
+}
+
+/// Sorts and deduplicates one first-pass bucket, holding the sources
+/// `first..first + width`, in place. A bucket with fewer edges than
+/// sources takes a comparison sort instead of the `O(width)` counting pass.
+fn sort_bucket(bucket: &mut Vec<Edge>, first: usize, width: usize) {
+    if bucket.len() < width {
+        bucket.sort_unstable();
+        bucket.dedup();
+        return;
+    }
+    // `ends[s + 1]` counts source `first + s`; the prefix sum makes it the
+    // row's start, and scattering through `ends[s]` leaves the row's end.
+    let mut ends = vec![0usize; width + 1];
+    for edge in bucket.iter() {
+        ends[edge.src as usize - first + 1] += 1;
+    }
+    for s in 0..width {
+        ends[s + 1] += ends[s];
+    }
+    let mut dsts = vec![0 as NodeId; bucket.len()];
+    for edge in bucket.iter() {
+        let cursor = &mut ends[edge.src as usize - first];
+        dsts[*cursor] = edge.dst;
+        *cursor += 1;
+    }
+    bucket.clear();
+    let mut start = 0;
+    for (s, &end) in ends[..width].iter().enumerate() {
+        let row = &mut dsts[start..end];
+        row.sort_unstable();
+        let kept = dedup_sorted(row);
+        let src = (first + s) as NodeId;
+        bucket.extend(row[..kept].iter().map(|&dst| Edge::new(src, dst)));
+        start = end;
+    }
+}
+
+/// Moves the distinct values of a sorted slice to its front and returns
+/// their count.
+fn dedup_sorted(values: &mut [NodeId]) -> usize {
+    let mut kept = 0;
+    for i in 0..values.len() {
+        if kept == 0 || values[i] != values[kept - 1] {
+            values[kept] = values[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// One input to the heterogeneous k-way merge: an in-memory sorted slice or
@@ -406,9 +507,9 @@ impl MergeCursor<'_> {
     }
 }
 
-/// K-way merge across in-memory chunks and spilled run-files. Identical
-/// ordering and dedup semantics to [`merge_chunks`]; read buffers divide the
-/// budget across the open run-files.
+/// K-way merge across in-memory sorted chunks and spilled run-files, via a
+/// min-heap of `(head edge, cursor index)` pairs, with duplicate
+/// elimination; read buffers divide the budget across the open run-files.
 fn merge_spilled(
     mem_chunks: &[Vec<Edge>],
     spilled: &[SpillFile],
@@ -581,6 +682,49 @@ mod tests {
     }
 
     #[test]
+    fn extend_from_slice_seals_and_spills_like_single_pushes() {
+        let n = 40usize;
+        let edges = pseudo_random_edges(n, 1000);
+        let dir = spill_dir("extend");
+        for (capacity, budget) in [
+            (7, MemoryBudget::unbounded()),
+            (64, MemoryBudget::bytes(200)),
+        ] {
+            let builder = || {
+                EdgeListBuilder::with_chunk_capacity(n, capacity)
+                    .with_memory_budget(budget)
+                    .with_spill_dir(&dir)
+                    .with_recorder(Recorder::detached())
+            };
+            let mut pushed = builder();
+            for &e in &edges {
+                pushed.push(e).unwrap();
+            }
+            let mut extended = builder();
+            for run in edges.chunks(93) {
+                extended.extend_from_slice(run).unwrap();
+            }
+            assert_eq!(extended.len(), pushed.len());
+            assert_eq!(extended.spilled_chunks(), pushed.spilled_chunks());
+            assert_eq!(extended.peak_resident_bytes(), pushed.peak_resident_bytes());
+            assert_eq!(extended.try_finish().unwrap(), pushed.try_finish().unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sparse_inputs_sort_to_the_same_list() {
+        // Radix buckets with fewer edges than sources take a comparison
+        // sort, the others a counting pass. Both are collect → sort → dedup.
+        for n in [100_000usize, 3000, 50] {
+            let edges = pseudo_random_edges(n, 300);
+            let mut builder = EdgeListBuilder::with_chunk_capacity(n, 64);
+            builder.extend_from_slice(&edges).unwrap();
+            assert_eq!(builder.finish(), reference(n, &edges), "n {n}");
+        }
+    }
+
+    #[test]
     fn rejects_out_of_range_endpoints() {
         let mut builder = EdgeListBuilder::new(3);
         assert!(matches!(
@@ -588,6 +732,10 @@ mod tests {
             Err(GraphError::NodeOutOfRange { node: 3, .. })
         ));
         assert!(builder.push_symmetric(Edge::new(4, 0)).is_err());
+        assert!(matches!(
+            builder.extend_from_slice(&[Edge::new(0, 1), Edge::new(5, 0)]),
+            Err(GraphError::NodeOutOfRange { node: 5, .. })
+        ));
         assert!(builder.is_empty());
     }
 
