@@ -204,7 +204,7 @@ impl EdgeListBuilder {
     ///
     /// Returns [`GraphError::NodeOutOfRange`] for the first edge with an
     /// endpoint `>= num_nodes`; no edge of the run is pushed then.
-    pub fn extend_from_slice(&mut self, mut edges: &[Edge]) -> Result<(), GraphError> {
+    pub(crate) fn extend_from_slice(&mut self, mut edges: &[Edge]) -> Result<(), GraphError> {
         edges.iter().try_for_each(|&edge| self.check(edge))?;
         while !edges.is_empty() {
             let room = self.chunk_capacity - self.current.len();
@@ -363,9 +363,13 @@ impl EdgeListBuilder {
     }
 }
 
-/// Source bits above which [`sort_dedup`]'s first pass buckets edges: at
-/// most `2^10` buckets, few enough write streams for the caches.
+/// Source bits [`sort_dedup`]'s first pass buckets edges by: `2^10`
+/// buckets, few enough write streams for the caches.
 const TOP_SOURCE_BITS: u32 = 10;
+
+/// Inputs below this many edges are one bucket, sorted on the calling
+/// thread: handing them to the pool costs more than sorting them.
+const PARALLEL_SORT_EDGES: usize = 1 << 12;
 
 /// Sorts the edges of `chunks` by `(src, dst)` and removes duplicates: a
 /// most-significant-digit-first radix sort of the packed
@@ -377,8 +381,14 @@ const TOP_SOURCE_BITS: u32 = 10;
 /// parallel (rayon), each by a counting pass on the rest of the source and
 /// a sort of each source's destinations, and concatenated in order.
 pub(crate) fn sort_dedup(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> {
+    let total: usize = chunks.iter().map(Vec::len).sum();
+    let top_bits = if total < PARALLEL_SORT_EDGES {
+        0
+    } else {
+        TOP_SOURCE_BITS
+    };
     let source_bits = (usize::BITS - num_nodes.saturating_sub(1).leading_zeros()).min(32);
-    let shift = source_bits.saturating_sub(TOP_SOURCE_BITS);
+    let shift = source_bits.saturating_sub(top_bits);
     let mut counts = vec![0usize; 1 << (source_bits - shift)];
     for edge in chunks.iter().flatten() {
         counts[(edge.src >> shift) as usize] += 1;
@@ -399,7 +409,7 @@ pub(crate) fn sort_dedup(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> 
     let sorted: Vec<Vec<Edge>> = buckets
         .par_iter()
         .map(|(first, bucket)| {
-            let mut bucket = std::mem::take(&mut *bucket.lock().expect("sorted once"));
+            let mut bucket = std::mem::take(&mut *bucket.lock().expect("no bucket sort panicked"));
             sort_bucket(&mut bucket, *first, 1 << shift);
             bucket
         })
