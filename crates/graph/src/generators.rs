@@ -371,8 +371,8 @@ impl RmatSampler {
             .skip((attempts as u64).wrapping_mul(u64::from(self.levels)))
     }
 
-    /// The accepted edges (in range, not self-loops) of a block of
-    /// attempts, in attempt order.
+    /// Every accepted edge (in range, not a self-loop) of a block of
+    /// attempts followed by its reverse, in attempt order.
     fn sample(&self, attempts: Range<usize>) -> Vec<Edge> {
         let mut rng = self.stream_after(attempts.start);
         let mut edges = Vec::with_capacity(2 * attempts.len());
