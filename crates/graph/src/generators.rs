@@ -657,7 +657,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "steps 2^32 draws: run with --release --include-ignored"
+        ignore = "steps 2^32 draws; runs in optimised builds (--release)"
     )]
     fn draw_stream_matches_std_rng_past_32_bit_offsets() {
         let offset = (1u64 << 32) + 5;
