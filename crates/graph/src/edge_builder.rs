@@ -390,13 +390,14 @@ pub(crate) fn sort_dedup(num_nodes: usize, chunks: Vec<Vec<Edge>>) -> Vec<Edge> 
     let source_bits = (usize::BITS - num_nodes.saturating_sub(1).leading_zeros()).min(32);
     let shift = source_bits.saturating_sub(top_bits);
     let mut counts = vec![0usize; 1 << (source_bits - shift)];
+    let bucket_of = |edge: &Edge| (u64::from(edge.src) >> shift) as usize;
     for edge in chunks.iter().flatten() {
-        counts[(edge.src >> shift) as usize] += 1;
+        counts[bucket_of(edge)] += 1;
     }
     let mut buckets: Vec<Vec<Edge>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
     for chunk in chunks {
         for &edge in &chunk {
-            buckets[(edge.src >> shift) as usize].push(edge);
+            buckets[bucket_of(&edge)].push(edge);
         }
     }
     // Mutexes hand each bucket to the one worker that sorts it; the pool
@@ -725,8 +726,9 @@ mod tests {
     #[test]
     fn sparse_inputs_sort_to_the_same_list() {
         // Radix buckets with fewer edges than sources take a comparison
-        // sort, the others a counting pass. Both are collect → sort → dedup.
-        for n in [100_000usize, 3000, 50] {
+        // sort, the others a counting pass. Both are collect → sort → dedup,
+        // up to node ids that use all 32 bits.
+        for n in [3_000_000_000usize, 100_000, 3000, 50] {
             let edges = pseudo_random_edges(n, 300);
             let mut builder = EdgeListBuilder::with_chunk_capacity(n, 64);
             builder.extend_from_slice(&edges).unwrap();
