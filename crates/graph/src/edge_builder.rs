@@ -36,9 +36,9 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Default number of edges per sealed chunk (~512 KiB of edge records): big
-/// enough that per-chunk sort overhead amortises, small enough that a dozen
-/// worker threads all get work on million-edge graphs.
+/// Default number of edges per sealed chunk (~512 KiB of edge records), the
+/// unit a memory budget keeps or spills: big enough that a spilled run's
+/// sort and write amortise, small enough to track a budget closely.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
 /// Bytes per edge record in a spill run-file: two little-endian `u32`s.
