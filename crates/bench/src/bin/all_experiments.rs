@@ -101,7 +101,7 @@ fn main() {
     );
     println!(
         "  graph builds: {} datasets synthesized, {} loaded from cache ({:.3} s); \
-         shard grids: {} built, {} loaded from cache",
+         shard summaries: {} built, {} loaded from cache",
         bench.datasets_synthesized,
         bench.datasets_loaded,
         bench.graph_build_seconds,

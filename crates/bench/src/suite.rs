@@ -231,7 +231,7 @@ impl SuiteContext {
         Self::build(options, SweepRunner::new())
     }
 
-    /// Like [`SuiteContext::materialize`], but datasets and shard grids are
+    /// Like [`SuiteContext::materialize`], but datasets and shard summaries are
     /// additionally persisted in (and loaded from) `cache`, so repeated
     /// harness runs skip synthesis and re-sharding entirely.
     ///

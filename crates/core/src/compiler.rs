@@ -13,9 +13,9 @@ use gnnerator_graph::{EdgeList, ShardPlanCache};
 /// 2. picks the feature-block size `B` from the [`DataflowConfig`],
 /// 3. derives how many nodes fit on-chip at that block size (the shard
 ///    parameter `n`) from the Graph Engine's scratchpad capacity,
-/// 4. shards the edge list into an `S x S` grid — stored sparsely as one
-///    sorted edge arena plus per-occupied-shard metadata (adding self-loop
-///    edges when the aggregation includes the node itself), and
+/// 4. summarises the edge list's `S x S` shard grid — per occupied shard,
+///    its edge count and distinct endpoints (adding self-loop edges when the
+///    aggregation includes the node itself), and
 /// 5. chooses the shard-traversal order from the Table I cost model unless
 ///    the dataflow pins one.
 ///
@@ -81,13 +81,13 @@ impl Compiler {
     /// errors from sharding.
     pub fn compile(&self, model: &GnnModel, edges: &EdgeList) -> Result<Program, GnneratorError> {
         // A throwaway cache keeps the one-shot path on the same code as the
-        // session path (and already dedups identical grids across layers).
+        // session path (and already dedups identical summaries across layers).
         let plans = ShardPlanCache::new(edges.clone());
         self.compile_cached(model, &plans)
     }
 
-    /// Compiles `model` against a shard-plan cache, reusing any grids the
-    /// cache already holds.
+    /// Compiles `model` against a shard-plan cache, reusing any summaries
+    /// the cache already holds.
     ///
     /// This is the compile-once path used by
     /// [`SimSession`](crate::SimSession): sweeping many configurations over

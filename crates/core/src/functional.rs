@@ -2,8 +2,10 @@
 //! dataflow.
 //!
 //! The timing simulator answers "how long does it take"; this module answers
-//! "does the blocked dataflow compute the same thing". It walks the same
-//! shard grid in the same block/traversal order the hardware would, uses the
+//! "does the blocked dataflow compute the same thing". It builds each
+//! layer's shard grid with its edges — the compiled program carries only
+//! the grid's summary — and walks it in the same block/traversal order the
+//! hardware would, uses the
 //! Graph Engine's streaming combine/finalize reduction, and accumulates the
 //! Dense Engine's blocked GEMM partial sums — then the integration tests
 //! compare the result against the plain mathematical reference executor
@@ -13,7 +15,7 @@
 
 use crate::{Compiler, DataflowConfig, GnneratorConfig, GnneratorError};
 use gnnerator_gnn::{GnnModel, Stage};
-use gnnerator_graph::{EdgeList, NodeFeatures};
+use gnnerator_graph::{EdgeList, NodeFeatures, ShardGrid};
 use gnnerator_tensor::{ops, Matrix};
 
 /// Executes `model` on the graph/features using the compiled blocked
@@ -88,6 +90,13 @@ pub fn execute_blocked(
 
         // ---- Aggregation over the shard grid, block by block ----
         let aggregated = if let Some(agg) = plan.aggregation {
+            let grid = if agg.include_self {
+                let mut looped = edges.clone();
+                looped.add_self_loops();
+                ShardGrid::build(&looped, plan.nodes_per_shard)?
+            } else {
+                ShardGrid::build(edges, plan.nodes_per_shard)?
+            };
             let n = edges.num_nodes();
             let dim = agg.dim;
             let mut acc = Matrix::filled(n, dim, agg.aggregator.identity());
@@ -99,8 +108,8 @@ pub fn execute_blocked(
                 // hardware would: empty shards contribute no edges, so the
                 // edge-processing order (and the floating-point result) is
                 // unchanged.
-                for shard in plan.grid.occupied_traversal(plan.traversal) {
-                    for edge in shard.edges() {
+                for meta in grid.occupied_traversal(plan.traversal) {
+                    for edge in grid.edges_of(meta) {
                         let (src, dst) = (edge.src as usize, edge.dst as usize);
                         if block_idx == 0 {
                             counts[dst] += 1;

@@ -210,14 +210,13 @@ impl GraphEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnerator_graph::{EdgeList, ShardGrid};
+    use gnnerator_graph::{EdgeList, ShardSummary};
 
     fn sample_meta() -> ShardMeta {
         let edges = EdgeList::from_pairs(8, &[(0, 4), (1, 4), (1, 5), (2, 6), (3, 7)]).unwrap();
-        let grid = ShardGrid::build(&edges, 4).unwrap();
-        *grid
-            .shard(gnnerator_graph::ShardCoord::new(0, 1))
-            .meta()
+        let summary = ShardSummary::build(&edges, 4, false).unwrap();
+        *summary
+            .meta(gnnerator_graph::ShardCoord::new(0, 1))
             .expect("shard (0, 1) is occupied")
     }
 

@@ -1,5 +1,5 @@
 use gnnerator_gnn::{Aggregator, StageOrder};
-use gnnerator_graph::{ShardGrid, TraversalOrder};
+use gnnerator_graph::{ShardSummary, TraversalOrder};
 use gnnerator_tensor::Activation;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -52,7 +52,7 @@ pub struct AggregationOp {
 /// The execution plan for one GNN layer on GNNerator.
 ///
 /// The plan fixes everything Algorithm 1 needs: the feature-block size `B`,
-/// the shard grid (whose dimension `S` follows from how many nodes fit
+/// the shard grid's summary (whose dimension `S` follows from how many nodes fit
 /// on-chip at that block size), the traversal order, and the dense operations
 /// that produce (`pre_dense`, GraphSAGE-Pool's pooling MLP) or consume
 /// (`post_dense`) the aggregated features.
@@ -80,13 +80,14 @@ pub struct LayerPlan {
     pub nodes_per_shard: usize,
     /// Shard-grid traversal order.
     pub traversal: TraversalOrder,
-    /// The 2-D shard grid for this layer (self-loops already added when the
-    /// aggregation includes the node itself).
+    /// The summary of this layer's 2-D shard grid (self-loops already
+    /// merged in when the aggregation includes the node itself): per
+    /// occupied shard, its edge count and distinct endpoints.
     ///
     /// Shared: layers of one program — and programs compiled from the same
     /// [`SimSession`](crate::SimSession) under different configurations —
-    /// reuse one grid whenever their shard parameters coincide.
-    pub grid: Arc<ShardGrid>,
+    /// reuse one summary whenever their shard parameters coincide.
+    pub grid: Arc<ShardSummary>,
 }
 
 impl LayerPlan {
@@ -197,9 +198,9 @@ mod tests {
     use super::*;
     use gnnerator_graph::EdgeList;
 
-    fn tiny_grid() -> Arc<ShardGrid> {
+    fn tiny_grid() -> Arc<ShardSummary> {
         let edges = EdgeList::from_pairs(4, &[(0, 1), (2, 3)]).unwrap();
-        Arc::new(ShardGrid::build(&edges, 2).unwrap())
+        Arc::new(ShardSummary::build(&edges, 2, false).unwrap())
     }
 
     fn sample_plan() -> LayerPlan {

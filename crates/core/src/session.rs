@@ -5,9 +5,9 @@
 //! [`SimSession`] pins one model and one graph, validates them once, and
 //! hands out immutable [`CompiledWorkload`]s — the program plus shared shard
 //! plans — that the [`Simulator`](crate::Simulator) executes without ever
-//! touching the session again. Shard grids are memoised in a
+//! touching the session again. Shard summaries are memoised in a
 //! [`ShardPlanCache`], so two configurations that derive the same
-//! nodes-per-shard parameter share one grid instead of re-sharding.
+//! nodes-per-shard parameter share one summary instead of re-sharding.
 
 use crate::{
     BackendEvaluation, Compiler, DataflowConfig, GnneratorConfig, GnneratorError, Program, Report,
@@ -15,7 +15,7 @@ use crate::{
 };
 use gnnerator_gnn::GnnModel;
 use gnnerator_graph::datasets::Dataset;
-use gnnerator_graph::{ArtifactCache, EdgeList, GridResidency, MemoryBudget, ShardPlanCache};
+use gnnerator_graph::{ArtifactCache, EdgeList, ShardPlanCache};
 use std::fmt;
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ impl SimSession {
         Self::build(model, dataset, None)
     }
 
-    /// Like [`SimSession::new`], but shard grids are additionally persisted
+    /// Like [`SimSession::new`], but shard summaries are additionally persisted
     /// in (and loaded from) `cache`, keyed by the dataset's `(spec, seed)`
     /// identity — repeated harness runs skip re-sharding entirely.
     ///
@@ -83,38 +83,9 @@ impl SimSession {
         Self::build(model, dataset, Some(cache))
     }
 
-    /// Overrides the memory budget the session's shard-plan cache builds and
-    /// loads under (the default comes from `GNNERATOR_MEM_BUDGET`). Bounded
-    /// budgets chunk-load cached grids instead of deserialising wholesale.
-    #[must_use]
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.plans = self.plans.with_memory_budget(budget);
-        self
-    }
-
-    /// The memory budget this session plans under.
-    pub fn memory_budget(&self) -> MemoryBudget {
-        self.plans.memory_budget()
-    }
-
-    /// Overrides how the session's shard grids stay resident: fully in
-    /// memory, faulted through a bounded shard window over the artifact
-    /// cache, or decided by the memory budget (the default comes from
-    /// `GNNERATOR_GRID_RESIDENCY`).
-    #[must_use]
-    pub fn with_residency(mut self, residency: GridResidency) -> Self {
-        self.plans = self.plans.with_residency(residency);
-        self
-    }
-
-    /// The grid residency policy this session plans under.
-    pub fn residency(&self) -> GridResidency {
-        self.plans.residency()
-    }
-
-    /// Overrides the telemetry recorder the session's shard-plan cache (and
-    /// so its shard windows) records into. A scoped recorder isolates this
-    /// session's window traffic while still propagating to the
+    /// Overrides the telemetry recorder the session's shard-plan cache
+    /// records its summary builds' working set into. A scoped recorder
+    /// isolates this session's peak while still propagating to the
     /// process-global view; the default is the global recorder itself.
     #[must_use]
     pub fn with_recorder(mut self, recorder: gnnerator_observe::Recorder) -> Self {
@@ -202,13 +173,13 @@ impl SimSession {
         self.plans.edges().num_edges()
     }
 
-    /// Number of distinct shard grids built so far.
+    /// Number of distinct shard summaries held so far.
     pub fn cached_shard_plans(&self) -> usize {
         self.plans.cached_plans()
     }
 
     /// Cumulative wall-clock seconds this session has spent building shard
-    /// grids (cache hits are free; feeds `BENCH_sweep.json`'s
+    /// summaries (cache hits are free; feeds `BENCH_sweep.json`'s
     /// `shard_build_seconds`).
     pub fn shard_build_seconds(&self) -> f64 {
         self.plans.build_seconds()
@@ -221,20 +192,20 @@ impl SimSession {
         self.graph_build_seconds
     }
 
-    /// Number of shard grids this session built from scratch.
+    /// Number of shard summaries this session built from the edges.
     pub fn shard_grids_built(&self) -> usize {
-        self.plans.grids_built()
+        self.plans.summaries_built()
     }
 
-    /// Number of shard grids this session loaded from the persistent
+    /// Number of shard summaries this session loaded from the persistent
     /// artifact cache.
     pub fn shard_grids_loaded(&self) -> usize {
-        self.plans.grids_loaded()
+        self.plans.summaries_loaded()
     }
 
     /// Compiles this session's workload for one `(platform, dataflow)` point.
     ///
-    /// Shard grids are reused from the session cache whenever the derived
+    /// Shard summaries are reused from the session cache whenever the derived
     /// shard parameters match an earlier compilation.
     ///
     /// # Errors
@@ -431,7 +402,7 @@ mod tests {
             plans_after_first,
             "no new grids"
         );
-        // Identical compilations share the same Arc'd grids.
+        // Identical compilations share the same Arc'd summaries.
         for (la, lb) in a.program().layers.iter().zip(&b.program().layers) {
             assert!(std::sync::Arc::ptr_eq(&la.grid, &lb.grid));
         }
@@ -454,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_cached_sessions_reload_grids_bit_identically() {
+    fn artifact_cached_sessions_reload_summaries_bit_identically() {
         use gnnerator_graph::ArtifactCache;
         use std::sync::Arc;
 

@@ -33,9 +33,8 @@ pub enum DatasetKind {
     OgbnArxiv,
     /// ogbn-products scale class: 2.4M vertices, 60M directed edges,
     /// 100-dimensional features — the out-of-core stress workload. Its edge
-    /// arena alone is ~480 MB, so building it under a smaller
-    /// `GNNERATOR_MEM_BUDGET` exercises the disk-spill + streaming-shard
-    /// path end to end. Synthesised (the real ogbn-products has 2 449 029
+    /// list alone is ~480 MB, so building it under a smaller
+    /// `GNNERATOR_MEM_BUDGET` exercises the disk-spill path end to end. Synthesised (the real ogbn-products has 2 449 029
     /// vertices and ~61.9M directed edges; the round counts keep synthesis
     /// and cache keys tidy at the same scale class).
     OgbnProductsScale,

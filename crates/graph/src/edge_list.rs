@@ -237,7 +237,8 @@ impl EdgeList {
         self.edges = merge_sorted_unique(
             forward.into_iter().filter(|e| e.src != e.dst),
             reversed.into_iter(),
-        );
+        )
+        .collect();
         self.sorted = true;
     }
 
@@ -248,17 +249,29 @@ impl EdgeList {
     /// merge pass with the (already sorted) loop sequence instead of a full
     /// re-sort.
     pub fn add_self_loops(&mut self) {
-        let loops = (0..self.num_nodes as NodeId).map(|v| Edge::new(v, v));
         if !self.sorted {
-            self.edges.extend(loops);
+            self.edges.extend(self_loops(self.num_nodes));
             self.edges.sort_unstable();
             self.sorted = true;
             self.edges.dedup();
             return;
         }
         let existing = std::mem::take(&mut self.edges);
-        self.edges = merge_sorted_unique(existing.into_iter(), loops);
+        self.edges =
+            merge_sorted_unique(existing.into_iter(), self_loops(self.num_nodes)).collect();
         self.sorted = true;
+    }
+
+    /// Number of edges [`EdgeList::add_self_loops`] would leave, counted
+    /// without materialising them when the list is sorted.
+    pub(crate) fn self_looped_len(&self) -> usize {
+        if self.sorted {
+            return merge_sorted_unique(self.edges.iter().copied(), self_loops(self.num_nodes))
+                .count();
+        }
+        let mut copy = self.clone();
+        copy.add_self_loops();
+        copy.num_edges()
     }
 
     /// Out-degree of every node.
@@ -280,13 +293,21 @@ impl EdgeList {
     }
 }
 
-/// Merges two individually sorted edge sequences into one sorted vector,
+/// One self-loop `v -> v` per node, in `(src, dst)` order.
+pub(crate) fn self_loops(num_nodes: usize) -> impl Iterator<Item = Edge> {
+    (0..num_nodes as NodeId).map(|v| Edge::new(v, v))
+}
+
+/// Merges two individually sorted edge sequences into one sorted stream,
 /// dropping duplicates (within and across the inputs).
-fn merge_sorted_unique(a: impl Iterator<Item = Edge>, b: impl Iterator<Item = Edge>) -> Vec<Edge> {
+pub(crate) fn merge_sorted_unique(
+    a: impl Iterator<Item = Edge>,
+    b: impl Iterator<Item = Edge>,
+) -> impl Iterator<Item = Edge> {
     let mut a = a.peekable();
     let mut b = b.peekable();
-    let mut out: Vec<Edge> = Vec::new();
-    loop {
+    let mut last: Option<Edge> = None;
+    std::iter::from_fn(move || loop {
         let next = match (a.peek(), b.peek()) {
             (Some(&x), Some(&y)) => {
                 if x <= y {
@@ -297,14 +318,13 @@ fn merge_sorted_unique(a: impl Iterator<Item = Edge>, b: impl Iterator<Item = Ed
             }
             (Some(_), None) => a.next(),
             (None, Some(_)) => b.next(),
-            (None, None) => break,
+            (None, None) => return None,
         };
-        let next = next.expect("peeked a value");
-        if out.last() != Some(&next) {
-            out.push(next);
+        if next != last {
+            last = next;
+            return next;
         }
-    }
-    out
+    })
 }
 
 impl<'a> IntoIterator for &'a EdgeList {

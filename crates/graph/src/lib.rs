@@ -13,33 +13,38 @@
 //!   a bounded [`MemoryBudget`] sealed chunks spill to disk run-files and a
 //!   k-way merge streams them back,
 //! * [`MemoryBudget`] (and the [`memory`] module) — the out-of-core memory
-//!   cap (`GNNERATOR_MEM_BUDGET`) plus process-wide spill/peak telemetry,
+//!   cap (`GNNERATOR_MEM_BUDGET`) on edge-list builds,
 //! * [`NodeFeatures`] — the dense per-node feature table,
 //! * [`generators`] — seeded synthetic graph generators (Erdős–Rényi with
 //!   geometric skip sampling and an R-MAT/power-law generator) used to stand
 //!   in for the real datasets,
 //! * [`datasets`] — the Table II dataset specifications (plus an ogbn-scale
 //!   extension) and synthesisers,
-//! * [`ShardGrid`] — the 2-D shard grid, stored sparsely as one sorted edge
-//!   arena plus per-occupied-shard [`ShardMeta`], with source-/destination-
-//!   stationary traversal orders that skip empty cells; under a bounded
-//!   budget (or an explicit [`GridResidency`]) the arena stays on disk and
-//!   shard extents are faulted through a bounded LRU [`ShardWindow`],
+//! * [`ShardSummary`] — the 2-D shard grid's occupancy summary: one
+//!   [`ShardMeta`] (edge count, distinct sources, distinct destinations)
+//!   per occupied shard plus row/column indexes, built in one streaming
+//!   pass, with source-/destination-stationary traversal orders that skip
+//!   empty cells. This is all the timing model reads,
+//! * [`ShardGrid`] — a summary plus its sorted edge arena, for the
+//!   functional executor and as the reference the summary build is tested
+//!   against,
+//! * [`ShardPlanCache`] — memoised summaries per `(n, self-loops)` for one
+//!   graph, backed by the artifact cache,
 //! * [`ArtifactCache`] — a persistent, checksummed on-disk store of
-//!   synthesised datasets and shard grids, keyed by `(spec, seed)` and shard
-//!   parameters, so repeated harness runs skip synthesis and re-sharding,
-//! * [`GraphStats`] — degree and locality statistics used in reports.
+//!   synthesised datasets and shard summaries, keyed by `(spec, seed)` and
+//!   shard parameters, so repeated harness runs skip synthesis and
+//!   re-sharding.
 //!
 //! # Examples
 //!
 //! ```
-//! use gnnerator_graph::{generators, ShardGrid};
+//! use gnnerator_graph::{generators, ShardSummary};
 //!
 //! # fn main() -> Result<(), gnnerator_graph::GraphError> {
 //! let graph = generators::erdos_renyi(64, 0.1, 7)?;
-//! let grid = ShardGrid::build(&graph, 16)?;
-//! assert_eq!(grid.grid_dim(), 4);
-//! assert_eq!(grid.total_edges(), graph.num_edges());
+//! let summary = ShardSummary::build(&graph, 16, false)?;
+//! assert_eq!(summary.grid_dim(), 4);
+//! assert_eq!(summary.total_edges(), graph.num_edges());
 //! # Ok(())
 //! # }
 //! ```
@@ -56,9 +61,7 @@ mod features;
 pub mod generators;
 pub mod memory;
 mod plan_cache;
-pub mod reorder;
 mod shard;
-mod stats;
 
 pub use cache::{ArtifactCache, CACHE_ENV_VAR, FORMAT_VERSION};
 pub use csr::CsrGraph;
@@ -66,17 +69,12 @@ pub use edge_builder::{EdgeListBuilder, DEFAULT_CHUNK_CAPACITY};
 pub use edge_list::{Edge, EdgeList};
 pub use error::GraphError;
 pub use features::NodeFeatures;
-pub use memory::{
-    memory_telemetry, GridResidency, MemoryBudget, MemoryTelemetry, GRID_RESIDENCY_ENV_VAR,
-    MEM_BUDGET_ENV_VAR,
-};
+pub use memory::{MemoryBudget, MEM_BUDGET_ENV_VAR};
 pub use plan_cache::{PlanKey, ShardPlanCache};
 pub use shard::{
-    EdgeSegment, OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardView,
-    ShardWindow, TraversalOrder, WindowPool, WindowStats, BYTES_PER_EDGE,
-    BYTES_PER_FEATURE_ELEMENT,
+    OccupiedTraversal, SerpentineCoords, ShardCoord, ShardGrid, ShardMeta, ShardSummary, ShardView,
+    TraversalOrder, BYTES_PER_EDGE, BYTES_PER_FEATURE_ELEMENT,
 };
-pub use stats::GraphStats;
 
 /// Node identifier type used throughout the workspace.
 ///

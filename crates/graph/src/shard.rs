@@ -1,14 +1,9 @@
+use crate::edge_list::{merge_sorted_unique, self_loops};
 use crate::{Edge, EdgeList, GraphError, NodeId};
-use gnnerator_observe::Recorder;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
 use std::fmt;
-use std::fs::File;
-use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::{Deref, Range};
 
 /// Bytes per edge record streamed by the Shard Edge Fetch unit (32-bit source
 /// id + 32-bit destination id).
@@ -75,7 +70,7 @@ impl fmt::Display for ShardCoord {
 /// Precomputed metadata of one *occupied* shard: everything the timing
 /// simulator and the traffic models need, without touching the shard's edges.
 ///
-/// A [`ShardGrid`] stores one `ShardMeta` per non-empty grid cell. The edge
+/// A [`ShardSummary`] stores one `ShardMeta` per non-empty grid cell. The edge
 /// count and the distinct-endpoint counts are fixed at build time, so the
 /// cycle/byte cost of processing a shard under any feature-block width is a
 /// couple of multiplies away — the simulator's hot loop never walks edge
@@ -83,7 +78,8 @@ impl fmt::Display for ShardCoord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardMeta {
     coord: ShardCoord,
-    /// Start of this shard's edges in the grid's shared arena.
+    /// Edges of the row-major shards before this one: the start of this
+    /// shard's edges in a [`ShardGrid`]'s arena.
     edge_start: u32,
     num_edges: u32,
     unique_sources: u32,
@@ -154,500 +150,48 @@ impl ShardMeta {
             unique_destinations,
         }
     }
-
-    /// Start offset of this shard's edges in the grid arena (cache
-    /// serialisation only).
-    pub(crate) fn edge_start(&self) -> u32 {
-        self.edge_start
-    }
 }
 
-/// A shard-sized run of edges, shared with either the grid's resident arena
-/// or a [`ShardWindow`] cache segment.
+/// The occupancy summary of a 2-D shard grid: everything a [`ShardGrid`]
+/// holds except its edges.
 ///
-/// Dereferences to `[Edge]`. Cloning is an `Arc` bump; holding a segment
-/// keeps its backing buffer alive (for a windowed grid that pins the segment
-/// even across an eviction, so a consumer never observes edges change under
-/// it).
-#[derive(Debug, Clone)]
-pub struct EdgeSegment {
-    buf: Arc<Vec<Edge>>,
-    start: usize,
-    len: usize,
-}
-
-impl EdgeSegment {
-    /// A segment covering `range` of a shared arena.
-    fn slice(buf: Arc<Vec<Edge>>, range: Range<usize>) -> Self {
-        debug_assert!(range.end <= buf.len());
-        EdgeSegment {
-            buf,
-            start: range.start,
-            len: range.len(),
-        }
-    }
-
-    /// A segment covering an entire buffer (a faulted-in window segment).
-    fn whole(buf: Arc<Vec<Edge>>) -> Self {
-        let len = buf.len();
-        EdgeSegment { buf, start: 0, len }
-    }
-
-    /// The canonical empty segment.
-    fn empty() -> Self {
-        static EMPTY: OnceLock<Arc<Vec<Edge>>> = OnceLock::new();
-        EdgeSegment::whole(Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))))
-    }
-}
-
-impl std::ops::Deref for EdgeSegment {
-    type Target = [Edge];
-
-    fn deref(&self) -> &[Edge] {
-        &self.buf[self.start..self.start + self.len]
-    }
-}
-
-impl PartialEq for EdgeSegment {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for EdgeSegment {}
-
-impl PartialEq<[Edge]> for EdgeSegment {
-    fn eq(&self, other: &[Edge]) -> bool {
-        **self == *other
-    }
-}
-
-impl PartialEq<&[Edge]> for EdgeSegment {
-    fn eq(&self, other: &&[Edge]) -> bool {
-        **self == **other
-    }
-}
-
-impl PartialEq<Vec<Edge>> for EdgeSegment {
-    fn eq(&self, other: &Vec<Edge>) -> bool {
-        **self == other[..]
-    }
-}
-
-/// A shared residency budget for one or more [`ShardWindow`]s.
+/// GNNerator's timing model prices every shard from three numbers — its
+/// edge count, distinct sources and distinct destinations (Table I,
+/// Algorithm 1) — so the simulator, the compiler and the traffic models
+/// read a summary, never an edge. A summary keeps:
 ///
-/// A session whose layers derive different shardings holds one windowed grid
-/// per sharding; their windows draw from a single pool so the budget bounds
-/// the *total* window residency instead of letting each window claim the
-/// full budget on its own. Windows opened without an explicit pool get a
-/// private one of their capacity.
-pub struct WindowPool {
-    /// Capacity of the pooled residency in bytes.
-    cap: u64,
-    /// Bytes currently reserved across every window drawing on this pool.
-    resident: AtomicU64,
-    /// Telemetry sink for this pool's windows. Defaults to the process
-    /// global; a scoped recorder isolates this pool's counts per session.
-    recorder: Recorder,
-}
-
-impl WindowPool {
-    /// A fresh pool holding at most `cap` bytes of window segments,
-    /// recording into the process-global telemetry.
-    pub fn new(cap: u64) -> Arc<Self> {
-        Self::with_recorder(cap, Recorder::default())
-    }
-
-    /// A fresh pool recording into `recorder` (and, via the recorder's
-    /// parent chain, every ancestor up to the global root).
-    pub fn with_recorder(cap: u64, recorder: Recorder) -> Arc<Self> {
-        Arc::new(WindowPool {
-            cap,
-            resident: AtomicU64::new(0),
-            recorder,
-        })
-    }
-
-    /// The telemetry sink this pool's windows record into.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The pool's byte capacity.
-    pub fn capacity(&self) -> u64 {
-        self.cap
-    }
-
-    /// Bytes currently resident across the pool's windows.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Whether reserving `bytes` more would overflow the pool.
-    fn over(&self, bytes: u64) -> bool {
-        self.resident_bytes() + bytes > self.cap
-    }
-
-    /// Reserves `bytes` if the pool stays at or under capacity; the global
-    /// window gauge mirrors every successful reservation.
-    fn try_reserve(&self, bytes: u64) -> bool {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if now > self.cap {
-            self.resident.fetch_sub(bytes, Ordering::Relaxed);
-            return false;
-        }
-        self.recorder.window_resident_add(bytes);
-        true
-    }
-
-    /// Returns `bytes` of reserved residency to the pool.
-    fn release(&self, bytes: u64) {
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
-        self.recorder.window_resident_sub(bytes);
-    }
-}
-
-impl fmt::Debug for WindowPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WindowPool")
-            .field("cap", &self.cap)
-            .field("resident", &self.resident_bytes())
-            .finish()
-    }
-}
-
-/// A bounded LRU cache of shard edge extents `pread` from a segmented v2
-/// grid artifact.
-///
-/// This is what lets a [`ShardGrid`] simulate from disk: instead of the
-/// whole sorted arena, at most a [`WindowPool`]'s capacity of shard segments
-/// stay resident, keyed by their arena offset. The serpentine walk's
-/// locality means a window at least one grid row wide faults each shard in
-/// only once per traversal direction; anything smaller still works, it just
-/// re-reads.
-///
-/// Fetches outside the lock may race and read the same extent twice; the
-/// loser's buffer is dropped, so the cache never holds duplicates. Segments
-/// larger than the whole pool are served uncached (as is everything when
-/// the capacity is 0, the degenerate always-stream window), and so is any
-/// extent the pool cannot fit after this window has evicted everything it
-/// holds — sibling windows on the same pool never stack their budgets.
-pub struct ShardWindow {
-    file: File,
-    path: PathBuf,
-    /// Byte offset of the edge arena inside the artifact file.
-    arena_offset: u64,
-    /// Total edges in the on-disk arena.
-    arena_len: usize,
-    /// The residency budget this window draws from (possibly shared).
-    pool: Arc<WindowPool>,
-    state: Mutex<WindowState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Point-in-time per-window fault statistics (see [`ShardWindow::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowStats {
-    /// Extents served from resident segments.
-    pub hits: u64,
-    /// Extents faulted in from disk.
-    pub misses: u64,
-    /// Segments evicted to stay under capacity.
-    pub evictions: u64,
-}
-
-#[derive(Default)]
-struct WindowState {
-    /// Resident segments keyed by arena edge offset.
-    segments: HashMap<u32, Arc<Vec<Edge>>>,
-    /// Same keys, least-recently-used first.
-    lru: VecDeque<u32>,
-    resident_bytes: u64,
-}
-
-impl ShardWindow {
-    /// Wraps an already-validated segmented artifact, drawing residency from
-    /// `pool` (shared between sibling windows, or private to this one).
-    /// `arena_offset` is the byte position of the first edge record in
-    /// `file`.
-    pub(crate) fn with_pool(
-        file: File,
-        path: PathBuf,
-        arena_offset: u64,
-        arena_len: usize,
-        pool: Arc<WindowPool>,
-    ) -> Self {
-        ShardWindow {
-            file,
-            path,
-            arena_offset,
-            arena_len,
-            pool,
-            state: Mutex::new(WindowState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// This window's own hit/miss/eviction counts (the process-wide
-    /// aggregates live in [`memory_telemetry`](crate::memory_telemetry)).
-    pub fn stats(&self) -> WindowStats {
-        WindowStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total edges in the on-disk arena.
-    pub fn arena_len(&self) -> usize {
-        self.arena_len
-    }
-
-    /// Capacity of the window's residency pool in bytes.
-    pub fn window_bytes(&self) -> u64 {
-        self.pool.capacity()
-    }
-
-    /// The residency pool this window draws from.
-    pub fn pool(&self) -> &Arc<WindowPool> {
-        &self.pool
-    }
-
-    /// Bytes of segments currently resident in this window.
-    pub fn resident_bytes(&self) -> u64 {
-        self.lock().resident_bytes
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WindowState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Returns the edges of the shard described by `meta`, faulting them in
-    /// from disk on a miss and evicting least-recently-used segments to stay
-    /// under `window_bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact file can no longer deliver the extent (for
-    /// example it was deleted mid-run). The file was fully checksum-validated
-    /// when the window was opened, so this is an external interference
-    /// failure, not a data-dependent one; serving workers supervise panics
-    /// and degrade per-request.
-    fn fetch(&self, meta: &ShardMeta) -> EdgeSegment {
-        let key = meta.edge_start();
-        {
-            let mut state = self.lock();
-            if let Some(buf) = state.segments.get(&key).cloned() {
-                self.pool.recorder.note_window_hit();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(pos) = state.lru.iter().position(|&k| k == key) {
-                    state.lru.remove(pos);
-                    state.lru.push_back(key);
-                }
-                return EdgeSegment::whole(buf);
-            }
-        }
-
-        self.pool.recorder.note_window_miss();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let buf = Arc::new(self.read_extent(meta));
-        let bytes = meta.num_edges() as u64 * BYTES_PER_EDGE;
-        self.pool.recorder.note_window_faulted_bytes(bytes);
-        if bytes > self.pool.capacity() {
-            // Too big to ever cache (or a zero-byte window): serve uncached.
-            return EdgeSegment::whole(buf);
-        }
-
-        let mut state = self.lock();
-        if let Some(existing) = state.segments.get(&key).cloned() {
-            // A concurrent fetch of the same extent won the insert race.
-            return EdgeSegment::whole(existing);
-        }
-        // The pool may be shared with sibling windows, so evict from this
-        // window only; if the pool still cannot fit the extent (a sibling
-        // holds the budget), serve it uncached — a serpentine pass touches
-        // each extent once, so an uncacheable extent costs nothing beyond
-        // the fault already paid.
-        while self.pool.over(bytes) {
-            let Some(victim) = state.lru.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = state.segments.remove(&victim) {
-                let evicted_bytes = evicted.len() as u64 * BYTES_PER_EDGE;
-                state.resident_bytes -= evicted_bytes;
-                self.pool.recorder.note_window_eviction();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.pool.release(evicted_bytes);
-            }
-        }
-        if !self.pool.try_reserve(bytes) {
-            return EdgeSegment::whole(buf);
-        }
-        state.segments.insert(key, Arc::clone(&buf));
-        state.lru.push_back(key);
-        state.resident_bytes += bytes;
-        EdgeSegment::whole(buf)
-    }
-
-    /// `pread`s and decodes one shard extent from the artifact file.
-    fn read_extent(&self, meta: &ShardMeta) -> Vec<Edge> {
-        use std::os::unix::fs::FileExt;
-
-        let offset = self.arena_offset + meta.edge_start() as u64 * BYTES_PER_EDGE;
-        let mut raw = vec![0u8; meta.num_edges() * BYTES_PER_EDGE as usize];
-        if let Err(err) = self.file.read_exact_at(&mut raw, offset) {
-            panic!(
-                "shard window lost its backing artifact {}: {err}",
-                self.path.display()
-            );
-        }
-        raw.chunks_exact(BYTES_PER_EDGE as usize)
-            .map(|rec| {
-                Edge::new(
-                    u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
-                    u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
-                )
-            })
-            .collect()
-    }
-}
-
-impl Drop for ShardWindow {
-    fn drop(&mut self) {
-        // Return the window's residency to its pool and the process-wide
-        // gauge so leaked window state is observable
-        // (`memory::window_resident_bytes`).
-        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
-        if state.resident_bytes > 0 {
-            self.pool.release(state.resident_bytes);
-        }
-    }
-}
-
-impl fmt::Debug for ShardWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardWindow")
-            .field("path", &self.path)
-            .field("arena_offset", &self.arena_offset)
-            .field("arena_len", &self.arena_len)
-            .field("window_bytes", &self.pool.capacity())
-            .field("resident_bytes", &self.resident_bytes())
-            .finish()
-    }
-}
-
-/// Where a grid's edge arena lives: fully resident in memory, or behind a
-/// bounded [`ShardWindow`] over the segmented artifact file.
-#[derive(Debug, Clone)]
-enum EdgeStore {
-    Resident(Arc<Vec<Edge>>),
-    Windowed(Arc<ShardWindow>),
-}
-
-/// A view of one shard: its metadata plus its run of edges.
-///
-/// Produced by [`ShardGrid::shard`], [`ShardGrid::iter`] and
-/// [`ShardGrid::occupied_traversal`]. For a resident grid the edges alias
-/// the shared arena (no copy); for a windowed grid they pin the shard's
-/// cached window segment. Cloning a view is an `Arc` bump either way.
-#[derive(Debug, Clone)]
-pub struct ShardView<'a> {
-    coord: ShardCoord,
-    meta: Option<&'a ShardMeta>,
-    edges: EdgeSegment,
-}
-
-impl<'a> ShardView<'a> {
-    /// The shard's grid coordinate.
-    pub fn coord(&self) -> ShardCoord {
-        self.coord
-    }
-
-    /// The shard's metadata, or `None` if the shard is empty.
-    pub fn meta(&self) -> Option<&'a ShardMeta> {
-        self.meta
-    }
-
-    /// Edges contained in the shard, sorted by `(src, dst)`.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Number of edges in the shard.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Returns `true` if the shard contains no edges.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Number of distinct source nodes referenced by the shard's edges.
-    pub fn unique_source_count(&self) -> usize {
-        self.meta.map_or(0, ShardMeta::unique_source_count)
-    }
-
-    /// Number of distinct destination nodes referenced by the shard's edges.
-    pub fn unique_destination_count(&self) -> usize {
-        self.meta.map_or(0, ShardMeta::unique_destination_count)
-    }
-}
-
-/// A GridGraph-style two-dimensional shard grid (Figure 1), stored sparsely.
-///
-/// The node id space is cut into `grid_dim` contiguous blocks of at most
-/// `nodes_per_shard` nodes; shard `(i, j)` holds every edge whose source lies
-/// in block `i` and whose destination lies in block `j`. Each shard therefore
-/// contains at most `nodes_per_shard²` edges, matching the paper's "maximum
-/// of n² edges" definition.
-///
-/// Real graphs sharded this way are extremely sparse at the shard level —
-/// most of the `S²` cells hold no edges — so the grid never materialises
-/// per-cell storage. Instead it keeps:
-///
-/// * one **edge arena**: every edge, sorted by `(src_block, dst_block, src,
-///   dst)`, so each shard's edges are one contiguous slice;
-/// * one [`ShardMeta`] per *occupied* shard (row-major), carrying the edge
-///   count, distinct-endpoint counts and arena offset;
+/// * one [`ShardMeta`] per *occupied* shard, row-major (`src_block` outer);
 /// * CSR-style offset indexes over both grid axes (`row_offsets` for
 ///   source-stationary walks, `col_offsets`/`col_entries` for
-///   destination-stationary walks), so traversals touch only occupied cells.
+///   destination-stationary walks), so traversals touch only occupied
+///   cells.
 ///
-/// Memory is `O(E + occupied + S)` instead of the dense `O(S² + E)` (with a
-/// second edge copy) a `Vec<Shard>` layout costs.
+/// Memory is `O(occupied + S)`, independent of the edge count.
 ///
 /// # Examples
 ///
 /// ```
-/// use gnnerator_graph::{EdgeList, ShardGrid, TraversalOrder};
+/// use gnnerator_graph::{EdgeList, ShardGrid, ShardSummary, TraversalOrder};
 ///
 /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
-/// let edges = EdgeList::from_pairs(6, &[(0, 5), (3, 1), (5, 0), (2, 4)])?;
-/// let grid = ShardGrid::build(&edges, 3)?;
-/// assert_eq!(grid.grid_dim(), 2);
-/// assert_eq!(grid.total_edges(), 4);
+/// let edges = EdgeList::from_pairs(6, &[(0, 5), (2, 4), (3, 1), (5, 0)])?;
+/// let summary = ShardSummary::build(&edges, 3, false)?;
+/// assert_eq!(summary.grid_dim(), 2);
+/// assert_eq!(summary.total_edges(), 4);
 /// // The four edges land in two of the four grid cells; the occupancy-aware
 /// // walk visits only those.
-/// assert_eq!(grid.occupied_shards(), 2);
-/// let visited: Vec<_> = grid.traversal(TraversalOrder::DestinationStationary).collect();
-/// assert_eq!(visited.len(), 4);
-/// assert_eq!(grid.occupied_traversal(TraversalOrder::DestinationStationary).count(), 2);
+/// assert_eq!(summary.occupied_shards(), 2);
+/// assert_eq!(summary.occupied_traversal(TraversalOrder::default()).count(), 2);
+/// // The same metadata the arena-sorting reference build derives.
+/// assert_eq!(&summary, ShardGrid::build(&edges, 3)?.summary());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardGrid {
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardSummary {
     num_nodes: usize,
     nodes_per_shard: usize,
     grid_dim: usize,
-    /// Every edge, sorted by `(src_block, dst_block, src, dst)` — resident
-    /// in memory or behind a bounded shard window over the artifact file.
-    store: EdgeStore,
     /// Metadata of occupied shards, row-major (`src_block` outer).
     metas: Vec<ShardMeta>,
     /// `metas[row_offsets[i]..row_offsets[i + 1]]` are row `i`'s occupied
@@ -660,257 +204,76 @@ pub struct ShardGrid {
     col_offsets: Vec<usize>,
 }
 
-impl ShardGrid {
-    /// Builds a shard grid from an edge list, with at most `nodes_per_shard`
-    /// source (and destination) nodes per shard.
+impl ShardSummary {
+    /// Summarises the sharding of `edges` with at most `nodes_per_shard`
+    /// nodes per block, after merging in one self-loop per node when
+    /// `include_self_loops` is set (duplicates dropped, exactly as
+    /// [`EdgeList::add_self_loops`] does).
     ///
-    /// The build is a single sort of the edge arena by shard coordinate
-    /// followed by one linear scan that emits per-shard metadata — no
-    /// per-cell buckets are ever allocated, so the cost is
-    /// `O(E log E + S)` regardless of how empty the grid is.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
-    /// or the edge list has no nodes.
-    pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
-        if nodes_per_shard == 0 {
-            return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
-        }
-        let num_nodes = edges.num_nodes();
-        if num_nodes == 0 {
-            return Err(GraphError::invalid("edges", "graph has no nodes"));
-        }
-        if edges.num_edges() > u32::MAX as usize {
-            return Err(GraphError::invalid(
-                "edges",
-                "edge count exceeds the 32-bit arena index space",
-            ));
-        }
-        let mut arena: Vec<Edge> = edges.iter().copied().collect();
-        arena.sort_unstable_by_key(|e| {
-            (
-                e.src as usize / nodes_per_shard,
-                e.dst as usize / nodes_per_shard,
-                e.src,
-                e.dst,
-            )
-        });
-
-        // One scan over the sorted arena: each run of equal (src_block,
-        // dst_block) is an occupied shard. Within a run edges are sorted by
-        // (src, dst), so distinct sources fall out of adjacent comparisons;
-        // distinct destinations need one small sort of the run's endpoints.
-        let mut metas: Vec<ShardMeta> = Vec::new();
-        let mut dst_scratch: Vec<NodeId> = Vec::new();
-        let mut start = 0usize;
-        while start < arena.len() {
-            let coord = ShardCoord::new(
-                arena[start].src as usize / nodes_per_shard,
-                arena[start].dst as usize / nodes_per_shard,
-            );
-            let mut end = start + 1;
-            while end < arena.len()
-                && arena[end].src as usize / nodes_per_shard == coord.src_block
-                && arena[end].dst as usize / nodes_per_shard == coord.dst_block
-            {
-                end += 1;
-            }
-            let run = &arena[start..end];
-            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
-            dst_scratch.clear();
-            dst_scratch.extend(run.iter().map(|e| e.dst));
-            dst_scratch.sort_unstable();
-            dst_scratch.dedup();
-            metas.push(ShardMeta {
-                coord,
-                edge_start: start as u32,
-                num_edges: (end - start) as u32,
-                unique_sources: unique_sources as u32,
-                unique_destinations: dst_scratch.len() as u32,
-            });
-            start = end;
-        }
-
-        Ok(Self::assemble(num_nodes, nodes_per_shard, arena, metas))
-    }
-
-    /// Builds a shard grid from a `(src, dst)`-sorted edge *stream* without
-    /// ever materialising a full [`EdgeList`] — the out-of-core companion to
-    /// [`ShardGrid::build`], bit-identical to it on the same edges.
-    ///
-    /// A `(src, dst)`-sorted stream delivers edges grouped by contiguous
-    /// source block, so the builder buffers one source-block *row group* at
-    /// a time, sorts it by `(dst_block, src, dst)` (completing the arena's
-    /// `(src_block, dst_block, src, dst)` order) and appends it to the
-    /// arena with placeholder shard metadata. The per-shard
-    /// distinct-endpoint counts are then filled in by a rayon-parallel pass
-    /// over the finished arena slices. Peak transient memory is one row
-    /// group, not the whole edge list.
+    /// One `O(E)` pass over the `(src, dst)`-sorted edges, with no edge
+    /// copy: source blocks arrive as contiguous row groups, so a row needs
+    /// only a per-destination-block edge count, the last source seen per
+    /// block (distinct sources) and epoch-stamped per-node marks (distinct
+    /// destinations). An unsorted list is sorted into a copy first.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is
-    /// zero, `num_nodes` is zero, the stream is not sorted by `(src, dst)`,
-    /// or the edge count exceeds the 32-bit arena index space, and
-    /// [`GraphError::NodeOutOfRange`] for an endpoint `>= num_nodes`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gnnerator_graph::{EdgeList, ShardGrid};
-    ///
-    /// # fn main() -> Result<(), gnnerator_graph::GraphError> {
-    /// let edges = EdgeList::from_pairs(6, &[(0, 5), (2, 4), (3, 1), (5, 0)])?;
-    /// let streamed = ShardGrid::build_streamed(6, 3, edges.iter().copied())?;
-    /// assert_eq!(streamed, ShardGrid::build(&edges, 3)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn build_streamed<I>(
-        num_nodes: usize,
+    /// zero, the edge list has no nodes, or the edge count exceeds the
+    /// 32-bit index space.
+    pub fn build(
+        edges: &EdgeList,
         nodes_per_shard: usize,
-        edges: I,
-    ) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = Edge>,
-    {
-        if nodes_per_shard == 0 {
-            return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
-        }
-        if num_nodes == 0 {
-            return Err(GraphError::invalid("edges", "graph has no nodes"));
-        }
-
-        /// Sorts one source-block row group into shard order and appends it
-        /// to the arena, emitting metadata (uniques deferred) per shard run.
-        fn flush_row_group(
-            row: &mut Vec<Edge>,
-            nodes_per_shard: usize,
-            arena: &mut Vec<Edge>,
-            metas: &mut Vec<ShardMeta>,
-        ) {
-            if row.is_empty() {
-                return;
-            }
-            row.sort_unstable_by_key(|e| (e.dst as usize / nodes_per_shard, e.src, e.dst));
-            let mut start = 0usize;
-            while start < row.len() {
-                let coord = ShardCoord::new(
-                    row[start].src as usize / nodes_per_shard,
-                    row[start].dst as usize / nodes_per_shard,
-                );
-                let mut end = start + 1;
-                while end < row.len() && row[end].dst as usize / nodes_per_shard == coord.dst_block
-                {
-                    end += 1;
-                }
-                metas.push(ShardMeta {
-                    coord,
-                    edge_start: (arena.len() + start) as u32,
-                    num_edges: (end - start) as u32,
-                    unique_sources: 0,
-                    unique_destinations: 0,
-                });
-                start = end;
-            }
-            arena.extend_from_slice(row);
-            row.clear();
-        }
-
-        let mut arena: Vec<Edge> = Vec::new();
-        let mut metas: Vec<ShardMeta> = Vec::new();
-        let mut row: Vec<Edge> = Vec::new();
-        let mut row_block = 0usize;
-        let mut prev: Option<Edge> = None;
-        for edge in edges {
-            for node in [edge.src, edge.dst] {
-                if node as usize >= num_nodes {
-                    return Err(GraphError::NodeOutOfRange { node, num_nodes });
-                }
-            }
-            if prev.is_some_and(|p| edge < p) {
-                return Err(GraphError::invalid(
-                    "edges",
-                    "stream must be sorted by (src, dst)",
-                ));
-            }
-            prev = Some(edge);
-            if arena.len() + row.len() >= u32::MAX as usize {
-                return Err(GraphError::invalid(
-                    "edges",
-                    "edge count exceeds the 32-bit arena index space",
-                ));
-            }
-            let block = edge.src as usize / nodes_per_shard;
-            if row.is_empty() {
-                row_block = block;
-            } else if block != row_block {
-                flush_row_group(&mut row, nodes_per_shard, &mut arena, &mut metas);
-                row_block = block;
-            }
-            row.push(edge);
-        }
-        flush_row_group(&mut row, nodes_per_shard, &mut arena, &mut metas);
-
-        // Distinct-endpoint counts, shard-parallel over finished arena
-        // slices: within a run edges are sorted by (src, dst), so distinct
-        // sources fall out of adjacent comparisons; distinct destinations
-        // need one small per-shard sort.
-        let arena_ref = &arena;
-        metas.par_iter_mut().for_each(|meta| {
-            let run = &arena_ref[meta.edge_range()];
-            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
-            let mut dsts: Vec<NodeId> = run.iter().map(|e| e.dst).collect();
-            dsts.sort_unstable();
-            dsts.dedup();
-            meta.unique_sources = unique_sources as u32;
-            meta.unique_destinations = dsts.len() as u32;
-        });
-
-        Ok(Self::assemble(num_nodes, nodes_per_shard, arena, metas))
+        include_self_loops: bool,
+    ) -> Result<Self, GraphError> {
+        Self::scan(edges, nodes_per_shard, include_self_loops).map(|(summary, _)| summary)
     }
 
-    /// Assembles a grid from a sorted arena and its row-major occupied-shard
-    /// metadata, rebuilding the CSR-style row/column indexes. Shared by
-    /// [`ShardGrid::build`] and the artifact cache's deserialiser (the
-    /// indexes are cheap linear passes, so they are recomputed rather than
-    /// stored).
-    pub(crate) fn assemble(
-        num_nodes: usize,
+    /// [`ShardSummary::build`], also returning the scan's transient
+    /// working set in bytes (the node marks, the per-block cells and, for
+    /// an unsorted list, the sorted copy).
+    pub(crate) fn scan(
+        edges: &EdgeList,
         nodes_per_shard: usize,
-        arena: Vec<Edge>,
-        metas: Vec<ShardMeta>,
-    ) -> Self {
-        Self::assemble_store(
-            num_nodes,
-            nodes_per_shard,
-            EdgeStore::Resident(Arc::new(arena)),
-            metas,
-        )
+        include_self_loops: bool,
+    ) -> Result<(Self, u64), GraphError> {
+        let num_nodes = edges.num_nodes();
+        validate_shape(num_nodes, nodes_per_shard)?;
+        let loops = if include_self_loops { num_nodes } else { 0 };
+        if edges.num_edges() + loops > u32::MAX as usize || num_nodes > u32::MAX as usize {
+            return Err(GraphError::invalid(
+                "edges",
+                "graph exceeds the 32-bit index space",
+            ));
+        }
+        let sorted: Cow<'_, [Edge]> = if edges.is_sorted() {
+            Cow::Borrowed(edges.as_slice())
+        } else {
+            let mut copy = edges.as_slice().to_vec();
+            copy.sort_unstable();
+            Cow::Owned(copy)
+        };
+        let mut scan = SummaryScan::new(num_nodes, nodes_per_shard);
+        let scratch = scan.bytes()
+            + match &sorted {
+                Cow::Borrowed(_) => 0,
+                Cow::Owned(copy) => copy.len() as u64 * BYTES_PER_EDGE,
+            };
+        if include_self_loops {
+            merge_sorted_unique(sorted.iter().copied(), self_loops(num_nodes))
+                .for_each(|edge| scan.push(edge));
+        } else {
+            sorted.iter().for_each(|&edge| scan.push(edge));
+        }
+        Ok((scan.finish(), scratch))
     }
 
-    /// Assembles a *windowed* grid over a validated segmented artifact: same
-    /// metadata and indexes as [`ShardGrid::assemble`], but shard edges are
-    /// faulted in through `window` on demand instead of living in memory.
-    pub(crate) fn assemble_windowed(
+    /// Assembles a summary from row-major occupied-shard metadata,
+    /// deriving the CSR-style row/column indexes (cheap linear passes, so
+    /// they are rebuilt rather than stored).
+    pub(crate) fn from_metas(
         num_nodes: usize,
         nodes_per_shard: usize,
-        window: ShardWindow,
-        metas: Vec<ShardMeta>,
-    ) -> Self {
-        Self::assemble_store(
-            num_nodes,
-            nodes_per_shard,
-            EdgeStore::Windowed(Arc::new(window)),
-            metas,
-        )
-    }
-
-    fn assemble_store(
-        num_nodes: usize,
-        nodes_per_shard: usize,
-        store: EdgeStore,
         metas: Vec<ShardMeta>,
     ) -> Self {
         let grid_dim = num_nodes.div_ceil(nodes_per_shard);
@@ -946,7 +309,6 @@ impl ShardGrid {
             num_nodes,
             nodes_per_shard,
             grid_dim,
-            store,
             metas,
             row_offsets,
             col_entries,
@@ -971,10 +333,7 @@ impl ShardGrid {
 
     /// Total number of edges across all shards.
     pub fn total_edges(&self) -> usize {
-        match &self.store {
-            EdgeStore::Resident(arena) => arena.len(),
-            EdgeStore::Windowed(window) => window.arena_len(),
-        }
+        self.metas.last().map_or(0, |meta| meta.edge_range().end)
     }
 
     /// Number of shards that contain at least one edge.
@@ -982,74 +341,26 @@ impl ShardGrid {
         self.metas.len()
     }
 
-    /// `true` when this grid simulates from disk through a bounded
-    /// [`ShardWindow`] instead of a resident edge arena.
-    pub fn is_windowed(&self) -> bool {
-        matches!(self.store, EdgeStore::Windowed(_))
-    }
-
-    /// The backing shard window of a windowed grid, or `None` when the
-    /// arena is resident.
-    pub fn window(&self) -> Option<&ShardWindow> {
-        match &self.store {
-            EdgeStore::Resident(_) => None,
-            EdgeStore::Windowed(window) => Some(window),
-        }
-    }
-
-    /// The shared edge arena, sorted by `(src_block, dst_block, src, dst)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a windowed grid, which never materialises the whole arena;
-    /// walk shards via [`ShardGrid::edges_of`] or
-    /// [`ShardGrid::occupied_traversal`] instead (or check
-    /// [`ShardGrid::is_windowed`] first).
-    pub fn edges(&self) -> &[Edge] {
-        self.resident_edges().expect(
-            "windowed ShardGrid does not expose the whole edge arena; \
-             iterate shards via edges_of/occupied_traversal",
-        )
-    }
-
-    /// The resident edge arena, or `None` for a windowed grid.
-    pub(crate) fn resident_edges(&self) -> Option<&[Edge]> {
-        match &self.store {
-            EdgeStore::Resident(arena) => Some(arena),
-            EdgeStore::Windowed(_) => None,
-        }
-    }
-
     /// Metadata of every occupied shard, row-major.
     pub fn metas(&self) -> &[ShardMeta] {
         &self.metas
     }
 
-    /// The edges of the shard described by `meta`, sharing the resident
-    /// arena or faulting the extent in through the shard window.
+    /// Metadata of the shard at `coord`, or `None` if it holds no edges.
     ///
     /// # Panics
     ///
-    /// Panics if `meta` did not come from this grid and indexes out of the
-    /// arena, or if a windowed grid's backing artifact disappeared mid-run.
-    pub fn edges_of(&self, meta: &ShardMeta) -> EdgeSegment {
-        match &self.store {
-            EdgeStore::Resident(arena) => EdgeSegment::slice(Arc::clone(arena), meta.edge_range()),
-            EdgeStore::Windowed(window) => window.fetch(meta),
-        }
-    }
-
-    /// Streams the shard's edge extent into residency: a no-op for a
-    /// resident grid, a window fetch (hit or fault) for a windowed one.
-    ///
-    /// The timing simulator calls this where the hardware's graph engine
-    /// would stream the shard's edges, so a windowed simulation actually
-    /// pays — and meters — the disk traffic of its serpentine walk, while
-    /// the resident path stays untouched.
-    pub fn touch(&self, meta: &ShardMeta) {
-        if let EdgeStore::Windowed(window) = &self.store {
-            drop(window.fetch(meta));
-        }
+    /// Panics if `coord` is outside the grid.
+    pub fn meta(&self, coord: ShardCoord) -> Option<&ShardMeta> {
+        assert!(
+            coord.src_block < self.grid_dim && coord.dst_block < self.grid_dim,
+            "shard {coord} out of range for {0}x{0} grid",
+            self.grid_dim
+        );
+        let row = self.row_metas(coord.src_block);
+        row.binary_search_by_key(&coord.dst_block, |m| m.coord.dst_block)
+            .ok()
+            .map(|offset| &row[offset])
     }
 
     /// Metadata of row `src_block`'s occupied shards, ascending `dst_block`.
@@ -1073,47 +384,6 @@ impl ShardGrid {
         self.col_entries[self.col_offsets[dst_block]..self.col_offsets[dst_block + 1]]
             .iter()
             .map(move |&index| &self.metas[index])
-    }
-
-    /// The shard at `coord` (a borrowed view; empty cells return an
-    /// edge-less view rather than failing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coord` is outside the grid.
-    pub fn shard(&self, coord: ShardCoord) -> ShardView<'_> {
-        assert!(
-            coord.src_block < self.grid_dim && coord.dst_block < self.grid_dim,
-            "shard {coord} out of range for {0}x{0} grid",
-            self.grid_dim
-        );
-        match self
-            .row_metas(coord.src_block)
-            .binary_search_by_key(&coord.dst_block, |m| m.coord.dst_block)
-        {
-            Ok(offset) => {
-                let meta = &self.row_metas(coord.src_block)[offset];
-                ShardView {
-                    coord,
-                    meta: Some(meta),
-                    edges: self.edges_of(meta),
-                }
-            }
-            Err(_) => ShardView {
-                coord,
-                meta: None,
-                edges: EdgeSegment::empty(),
-            },
-        }
-    }
-
-    /// Iterates over the occupied shards in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = ShardView<'_>> + '_ {
-        self.metas.iter().map(move |meta| ShardView {
-            coord: meta.coord,
-            meta: Some(meta),
-            edges: self.edges_of(meta),
-        })
     }
 
     /// The contiguous range of node ids belonging to block `block`.
@@ -1166,7 +436,7 @@ impl ShardGrid {
     ///
     /// The iterator is allocation-free: coordinates are computed from a
     /// linear index. For walks that should skip empty cells, use
-    /// [`ShardGrid::occupied_traversal`].
+    /// [`ShardSummary::occupied_traversal`].
     pub fn traversal(&self, order: TraversalOrder) -> SerpentineCoords {
         SerpentineCoords {
             grid_dim: self.grid_dim,
@@ -1176,8 +446,9 @@ impl ShardGrid {
         }
     }
 
-    /// Returns the *occupied* shards in the same S-pattern order as
-    /// [`ShardGrid::traversal`], skipping empty cells via the sparse index.
+    /// Returns the *occupied* shards' metadata in the same S-pattern order
+    /// as [`ShardSummary::traversal`], skipping empty cells via the sparse
+    /// index.
     ///
     /// This is the subsequence of the full serpentine walk restricted to
     /// shards that actually contain edges, so any consumer for whom empty
@@ -1186,7 +457,7 @@ impl ShardGrid {
     /// instead of `O(S²)`.
     pub fn occupied_traversal(&self, order: TraversalOrder) -> OccupiedTraversal<'_> {
         OccupiedTraversal {
-            grid: self,
+            summary: self,
             order,
             outer: 0,
             group: 0..0,
@@ -1195,38 +466,326 @@ impl ShardGrid {
     }
 }
 
-impl PartialEq for ShardGrid {
-    /// Logical equality: same sharding parameters, same occupied-shard
-    /// metadata, same edges shard by shard. A windowed grid compares equal
-    /// to the resident grid it was serialised from (comparing one faults
-    /// its shards through the window).
-    fn eq(&self, other: &Self) -> bool {
-        if self.num_nodes != other.num_nodes
-            || self.nodes_per_shard != other.nodes_per_shard
-            || self.grid_dim != other.grid_dim
-            || self.metas != other.metas
-        {
-            return false;
+/// Rejects the sharding parameters no grid can be built from.
+fn validate_shape(num_nodes: usize, nodes_per_shard: usize) -> Result<(), GraphError> {
+    if nodes_per_shard == 0 {
+        return Err(GraphError::invalid("nodes_per_shard", "must be positive"));
+    }
+    if num_nodes == 0 {
+        return Err(GraphError::invalid("edges", "graph has no nodes"));
+    }
+    Ok(())
+}
+
+/// Per-destination-block state of the source-block row being scanned.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    edges: u32,
+    last_src: NodeId,
+    sources: u32,
+    destinations: u32,
+}
+
+/// The streaming pass behind [`ShardSummary::build`]: consumes a
+/// `(src, dst)`-sorted edge sequence one source-block row at a time.
+struct SummaryScan {
+    num_nodes: usize,
+    nodes_per_shard: usize,
+    /// `marks[v] == row + 1` once node `v` has been counted as a destination
+    /// in row `row` (a node lies in one destination block, so per-row marks
+    /// count per-shard distinct destinations).
+    marks: Vec<u32>,
+    cells: Vec<Cell>,
+    /// Destination blocks of the open row that hold edges, first-seen order.
+    touched: Vec<usize>,
+    row: usize,
+    next_start: u32,
+    metas: Vec<ShardMeta>,
+}
+
+impl SummaryScan {
+    fn new(num_nodes: usize, nodes_per_shard: usize) -> Self {
+        SummaryScan {
+            num_nodes,
+            nodes_per_shard,
+            marks: vec![0; num_nodes],
+            cells: vec![Cell::default(); num_nodes.div_ceil(nodes_per_shard)],
+            touched: Vec::new(),
+            row: 0,
+            next_start: 0,
+            metas: Vec::new(),
         }
-        // The CSR indexes are derived from the metas, so they need no
-        // separate comparison.
-        match (&self.store, &other.store) {
-            (EdgeStore::Resident(a), EdgeStore::Resident(b)) => a == b,
-            _ => {
-                self.total_edges() == other.total_edges()
-                    && self
-                        .metas
-                        .iter()
-                        .all(|meta| self.edges_of(meta) == other.edges_of(meta))
-            }
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.marks.len() * std::mem::size_of::<u32>()
+            + self.cells.len() * std::mem::size_of::<Cell>()) as u64
+    }
+
+    fn push(&mut self, edge: Edge) {
+        let row = edge.src as usize / self.nodes_per_shard;
+        if row != self.row {
+            self.close_row();
+            self.row = row;
         }
+        let col = edge.dst as usize / self.nodes_per_shard;
+        let cell = &mut self.cells[col];
+        if cell.edges == 0 {
+            self.touched.push(col);
+            cell.sources = 1;
+            cell.last_src = edge.src;
+        } else if cell.last_src != edge.src {
+            cell.sources += 1;
+            cell.last_src = edge.src;
+        }
+        cell.edges += 1;
+        let epoch = row as u32 + 1;
+        let mark = &mut self.marks[edge.dst as usize];
+        if *mark != epoch {
+            *mark = epoch;
+            cell.destinations += 1;
+        }
+    }
+
+    /// Emits the open row's occupied shards in ascending destination block.
+    fn close_row(&mut self) {
+        self.touched.sort_unstable();
+        for &col in &self.touched {
+            let cell = std::mem::take(&mut self.cells[col]);
+            self.metas.push(ShardMeta {
+                coord: ShardCoord::new(self.row, col),
+                edge_start: self.next_start,
+                num_edges: cell.edges,
+                unique_sources: cell.sources,
+                unique_destinations: cell.destinations,
+            });
+            self.next_start += cell.edges;
+        }
+        self.touched.clear();
+    }
+
+    fn finish(mut self) -> ShardSummary {
+        self.close_row();
+        ShardSummary::from_metas(self.num_nodes, self.nodes_per_shard, self.metas)
     }
 }
 
-impl Eq for ShardGrid {}
+/// A view of one shard: its metadata plus its run of edges.
+///
+/// Produced by [`ShardGrid::shard`] and [`ShardGrid::iter`]; the edges
+/// borrow the grid's arena.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardView<'a> {
+    coord: ShardCoord,
+    meta: Option<&'a ShardMeta>,
+    edges: &'a [Edge],
+}
+
+impl<'a> ShardView<'a> {
+    /// The shard's grid coordinate.
+    pub fn coord(&self) -> ShardCoord {
+        self.coord
+    }
+
+    /// The shard's metadata, or `None` if the shard is empty.
+    pub fn meta(&self) -> Option<&'a ShardMeta> {
+        self.meta
+    }
+
+    /// Edges contained in the shard, sorted by `(src, dst)`.
+    pub fn edges(&self) -> &'a [Edge] {
+        self.edges
+    }
+
+    /// Number of edges in the shard.
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Returns `true` if the shard contains no edges.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Number of distinct source nodes referenced by the shard's edges.
+    pub fn unique_source_count(&self) -> usize {
+        self.meta.map_or(0, ShardMeta::unique_source_count)
+    }
+
+    /// Number of distinct destination nodes referenced by the shard's edges.
+    pub fn unique_destination_count(&self) -> usize {
+        self.meta.map_or(0, ShardMeta::unique_destination_count)
+    }
+}
+
+/// A GridGraph-style two-dimensional shard grid (Figure 1) with its edges:
+/// a [`ShardSummary`] plus one resident edge arena.
+///
+/// The node id space is cut into `grid_dim` contiguous blocks of at most
+/// `nodes_per_shard` nodes; shard `(i, j)` holds every edge whose source lies
+/// in block `i` and whose destination lies in block `j`. Each shard therefore
+/// contains at most `nodes_per_shard²` edges, matching the paper's "maximum
+/// of n² edges" definition.
+///
+/// The arena holds every edge sorted by `(src_block, dst_block, src, dst)`,
+/// so each shard's edges are one contiguous slice; the summary's metadata
+/// carries each shard's arena offset. Only the functional (value-level)
+/// executor and the tests read edges; simulation runs on the summary alone.
+/// The summary's accessors are available on the grid through `Deref`.
+///
+/// # Examples
+///
+/// ```
+/// use gnnerator_graph::{EdgeList, ShardGrid, TraversalOrder};
+///
+/// # fn main() -> Result<(), gnnerator_graph::GraphError> {
+/// let edges = EdgeList::from_pairs(6, &[(0, 5), (3, 1), (5, 0), (2, 4)])?;
+/// let grid = ShardGrid::build(&edges, 3)?;
+/// assert_eq!(grid.grid_dim(), 2);
+/// assert_eq!(grid.total_edges(), 4);
+/// let walked: usize = grid
+///     .occupied_traversal(TraversalOrder::DestinationStationary)
+///     .map(|meta| grid.edges_of(meta).len())
+///     .sum();
+/// assert_eq!(walked, 4);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardGrid {
+    summary: ShardSummary,
+    /// Every edge, sorted by `(src_block, dst_block, src, dst)`.
+    arena: Vec<Edge>,
+}
+
+impl ShardGrid {
+    /// Builds a shard grid from an edge list, with at most `nodes_per_shard`
+    /// source (and destination) nodes per shard.
+    ///
+    /// This is the reference the streaming [`ShardSummary::build`] is
+    /// tested against, so it derives the metadata independently: a sort of
+    /// the edge arena by shard coordinate followed by one linear scan per
+    /// shard run — `O(E log E + S)` regardless of how empty the grid is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidParameter`] if `nodes_per_shard` is zero
+    /// or the edge list has no nodes.
+    pub fn build(edges: &EdgeList, nodes_per_shard: usize) -> Result<Self, GraphError> {
+        let num_nodes = edges.num_nodes();
+        validate_shape(num_nodes, nodes_per_shard)?;
+        if edges.num_edges() > u32::MAX as usize {
+            return Err(GraphError::invalid(
+                "edges",
+                "edge count exceeds the 32-bit arena index space",
+            ));
+        }
+        let mut arena: Vec<Edge> = edges.iter().copied().collect();
+        arena.sort_unstable_by_key(|e| {
+            (
+                e.src as usize / nodes_per_shard,
+                e.dst as usize / nodes_per_shard,
+                e.src,
+                e.dst,
+            )
+        });
+
+        // One scan over the sorted arena: each run of equal (src_block,
+        // dst_block) is an occupied shard. Within a run edges are sorted by
+        // (src, dst), so distinct sources fall out of adjacent comparisons;
+        // distinct destinations need one small sort of the run's endpoints.
+        let mut metas: Vec<ShardMeta> = Vec::new();
+        let mut dst_scratch: Vec<NodeId> = Vec::new();
+        let mut start = 0usize;
+        while start < arena.len() {
+            let coord = ShardCoord::new(
+                arena[start].src as usize / nodes_per_shard,
+                arena[start].dst as usize / nodes_per_shard,
+            );
+            let mut end = start + 1;
+            while end < arena.len()
+                && arena[end].src as usize / nodes_per_shard == coord.src_block
+                && arena[end].dst as usize / nodes_per_shard == coord.dst_block
+            {
+                end += 1;
+            }
+            let run = &arena[start..end];
+            let unique_sources = 1 + run.windows(2).filter(|w| w[0].src != w[1].src).count();
+            dst_scratch.clear();
+            dst_scratch.extend(run.iter().map(|e| e.dst));
+            dst_scratch.sort_unstable();
+            dst_scratch.dedup();
+            metas.push(ShardMeta {
+                coord,
+                edge_start: start as u32,
+                num_edges: (end - start) as u32,
+                unique_sources: unique_sources as u32,
+                unique_destinations: dst_scratch.len() as u32,
+            });
+            start = end;
+        }
+
+        Ok(Self {
+            summary: ShardSummary::from_metas(num_nodes, nodes_per_shard, metas),
+            arena,
+        })
+    }
+
+    /// The grid's occupancy summary (everything but the edges).
+    pub fn summary(&self) -> &ShardSummary {
+        &self.summary
+    }
+
+    /// The edge arena, sorted by `(src_block, dst_block, src, dst)`.
+    pub fn edges(&self) -> &[Edge] {
+        &self.arena
+    }
+
+    /// The edges of the shard described by `meta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `meta` did not come from this grid and indexes out of the
+    /// arena.
+    pub fn edges_of(&self, meta: &ShardMeta) -> &[Edge] {
+        &self.arena[meta.edge_range()]
+    }
+
+    /// The shard at `coord` (empty cells return an edge-less view rather
+    /// than failing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the grid.
+    pub fn shard(&self, coord: ShardCoord) -> ShardView<'_> {
+        let meta = self.summary.meta(coord);
+        ShardView {
+            coord,
+            meta,
+            edges: meta.map_or(&[], |meta| self.edges_of(meta)),
+        }
+    }
+
+    /// Iterates over the occupied shards in row-major order.
+    pub fn iter(&self) -> impl Iterator<Item = ShardView<'_>> + '_ {
+        self.summary.metas.iter().map(move |meta| ShardView {
+            coord: meta.coord,
+            meta: Some(meta),
+            edges: self.edges_of(meta),
+        })
+    }
+}
+
+impl Deref for ShardGrid {
+    type Target = ShardSummary;
+
+    fn deref(&self) -> &ShardSummary {
+        &self.summary
+    }
+}
 
 /// Allocation-free serpentine coordinate iterator returned by
-/// [`ShardGrid::traversal`].
+/// [`ShardSummary::traversal`].
 #[derive(Debug, Clone)]
 pub struct SerpentineCoords {
     grid_dim: usize,
@@ -1262,14 +821,14 @@ impl Iterator for SerpentineCoords {
 impl ExactSizeIterator for SerpentineCoords {}
 
 /// Occupied-only serpentine shard iterator returned by
-/// [`ShardGrid::occupied_traversal`].
+/// [`ShardSummary::occupied_traversal`].
 ///
 /// Walks the sparse row/column index group by group, reversing every other
-/// group to follow the S-pattern, and yields a [`ShardView`] per occupied
-/// shard.
+/// group to follow the S-pattern, and yields the [`ShardMeta`] of each
+/// occupied shard.
 #[derive(Debug, Clone)]
 pub struct OccupiedTraversal<'a> {
-    grid: &'a ShardGrid,
+    summary: &'a ShardSummary,
     order: TraversalOrder,
     /// Next outer row/column group to open.
     outer: usize,
@@ -1279,42 +838,33 @@ pub struct OccupiedTraversal<'a> {
     reverse: bool,
 }
 
-impl<'a> OccupiedTraversal<'a> {
-    fn meta_at(&self, entry: usize) -> &'a ShardMeta {
-        match self.order {
-            TraversalOrder::SourceStationary => &self.grid.metas[entry],
-            TraversalOrder::DestinationStationary => &self.grid.metas[self.grid.col_entries[entry]],
-        }
-    }
-}
-
 impl<'a> Iterator for OccupiedTraversal<'a> {
-    type Item = ShardView<'a>;
+    type Item = &'a ShardMeta;
 
-    fn next(&mut self) -> Option<ShardView<'a>> {
+    fn next(&mut self) -> Option<&'a ShardMeta> {
+        let summary = self.summary;
         loop {
             if !self.group.is_empty() {
                 let entry = if self.reverse {
                     self.group.end -= 1;
                     self.group.end
                 } else {
-                    let e = self.group.start;
                     self.group.start += 1;
-                    e
+                    self.group.start - 1
                 };
-                let meta = self.meta_at(entry);
-                return Some(ShardView {
-                    coord: meta.coord,
-                    meta: Some(meta),
-                    edges: self.grid.edges_of(meta),
+                return Some(match self.order {
+                    TraversalOrder::SourceStationary => &summary.metas[entry],
+                    TraversalOrder::DestinationStationary => {
+                        &summary.metas[summary.col_entries[entry]]
+                    }
                 });
             }
-            if self.outer >= self.grid.grid_dim {
+            if self.outer >= summary.grid_dim {
                 return None;
             }
             let offsets = match self.order {
-                TraversalOrder::SourceStationary => &self.grid.row_offsets,
-                TraversalOrder::DestinationStationary => &self.grid.col_offsets,
+                TraversalOrder::SourceStationary => &summary.row_offsets,
+                TraversalOrder::DestinationStationary => &summary.col_offsets,
             };
             self.group = offsets[self.outer]..offsets[self.outer + 1];
             self.reverse = self.outer % 2 == 1;
@@ -1354,37 +904,44 @@ mod tests {
         assert!(ShardGrid::build(&empty, 4).is_err());
     }
 
-    #[test]
-    fn streamed_build_is_bit_identical_to_in_memory() {
-        let mut sorted: Vec<Edge> = sample_edges().iter().copied().collect();
-        sorted.sort_unstable();
-        let edges = EdgeList::from_edges(8, sorted).unwrap();
-        for nps in [1, 2, 3, 4, 8, 16] {
-            let built = ShardGrid::build(&edges, nps).unwrap();
-            let streamed =
-                ShardGrid::build_streamed(edges.num_nodes(), nps, edges.iter().copied()).unwrap();
-            assert_eq!(streamed, built, "nps={nps}");
+    /// The summary a streaming build must reproduce: the reference grid's,
+    /// built from the list the plan cache would shard.
+    fn reference_summary(edges: &EdgeList, nps: usize, loops: bool) -> ShardSummary {
+        let mut edges = edges.clone();
+        if loops {
+            edges.add_self_loops();
         }
-        // An empty sorted stream matches the edgeless build.
-        let empty = EdgeList::new(5);
-        assert_eq!(
-            ShardGrid::build_streamed(5, 2, std::iter::empty()).unwrap(),
-            ShardGrid::build(&empty, 2).unwrap()
-        );
+        ShardGrid::build(&edges, nps).unwrap().summary().clone()
     }
 
     #[test]
-    fn streamed_build_rejects_bad_input() {
-        assert!(ShardGrid::build_streamed(8, 0, std::iter::empty()).is_err());
-        assert!(ShardGrid::build_streamed(0, 4, std::iter::empty()).is_err());
-        // Out-of-range endpoint.
-        assert!(matches!(
-            ShardGrid::build_streamed(4, 2, [Edge::new(0, 4)].into_iter()),
-            Err(GraphError::NodeOutOfRange { node: 4, .. })
-        ));
-        // Unsorted stream.
-        let err = ShardGrid::build_streamed(4, 2, [Edge::new(2, 0), Edge::new(1, 3)]).unwrap_err();
-        assert!(err.to_string().contains("sorted"), "{err}");
+    fn summary_build_matches_the_reference_grid() {
+        let unsorted = sample_edges();
+        assert!(!unsorted.is_sorted());
+        let mut sorted: Vec<Edge> = unsorted.iter().copied().collect();
+        sorted.sort_unstable();
+        let sorted = EdgeList::from_edges(8, sorted).unwrap();
+        // Duplicates and an existing self-loop, which the loop merge drops.
+        let duplicated =
+            EdgeList::from_pairs(5, &[(0, 0), (0, 3), (0, 3), (2, 4), (4, 1)]).unwrap();
+        for edges in [&unsorted, &sorted, &duplicated, &EdgeList::new(5)] {
+            for nps in [1, 2, 3, 4, 8, 16] {
+                for loops in [false, true] {
+                    assert_eq!(
+                        ShardSummary::build(edges, nps, loops).unwrap(),
+                        reference_summary(edges, nps, loops),
+                        "nps={nps} loops={loops} {edges:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn summary_build_rejects_bad_parameters() {
+        let edges = sample_edges();
+        assert!(ShardSummary::build(&edges, 0, false).is_err());
+        assert!(ShardSummary::build(&EdgeList::new(0), 4, true).is_err());
     }
 
     #[test]
@@ -1640,178 +1197,5 @@ mod tests {
             TraversalOrder::default(),
             TraversalOrder::DestinationStationary
         );
-    }
-
-    /// Writes `grid`'s arena as raw little-endian records (prefixed by
-    /// `lead` filler bytes) and opens a [`ShardWindow`] over it.
-    fn window_over(grid: &ShardGrid, lead: u64, window_bytes: u64) -> ShardWindow {
-        use std::io::Write;
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        static NONCE: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "gnnerator-shard-window-{}-{}.arena",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut file = std::fs::File::create(&path).unwrap();
-        file.write_all(&vec![0u8; lead as usize]).unwrap();
-        for edge in grid.edges() {
-            file.write_all(&edge.src.to_le_bytes()).unwrap();
-            file.write_all(&edge.dst.to_le_bytes()).unwrap();
-        }
-        file.flush().unwrap();
-        drop(file);
-        let file = std::fs::File::open(&path).unwrap();
-        // The file is open; unlink so the temp dir stays clean regardless of
-        // test outcome (Unix keeps the inode alive).
-        let _ = std::fs::remove_file(&path);
-        ShardWindow::with_pool(
-            file,
-            path,
-            lead,
-            grid.total_edges(),
-            WindowPool::new(window_bytes),
-        )
-    }
-
-    fn windowed_clone(grid: &ShardGrid, window_bytes: u64) -> ShardGrid {
-        ShardGrid::assemble_windowed(
-            grid.num_nodes(),
-            grid.nodes_per_shard(),
-            window_over(grid, 96, window_bytes),
-            grid.metas().to_vec(),
-        )
-    }
-
-    #[test]
-    fn sibling_windows_split_one_pool_instead_of_stacking_budgets() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let arena_bytes = resident.total_edges() as u64 * BYTES_PER_EDGE;
-        let pool = WindowPool::new(arena_bytes);
-        let sibling = |g: &ShardGrid| {
-            let mut window = window_over(g, 96, 0);
-            window.pool = Arc::clone(&pool);
-            ShardGrid::assemble_windowed(
-                g.num_nodes(),
-                g.nodes_per_shard(),
-                window,
-                g.metas().to_vec(),
-            )
-        };
-        // The first sibling's walk fills the whole pool.
-        let first = sibling(&resident);
-        assert_eq!(first, resident);
-        assert_eq!(pool.resident_bytes(), arena_bytes);
-        // The second sibling finds the pool full, evicts nothing it owns,
-        // serves every extent uncached — and stays bit-identical.
-        let second = sibling(&resident);
-        assert_eq!(second, resident);
-        assert_eq!(second.window().unwrap().resident_bytes(), 0);
-        assert_eq!(second.window().unwrap().stats().evictions, 0);
-        assert_eq!(pool.resident_bytes(), arena_bytes);
-        // Dropping the full sibling frees the pool for the other one.
-        drop(first);
-        assert_eq!(pool.resident_bytes(), 0);
-        assert_eq!(second, resident);
-        assert_eq!(second.window().unwrap().resident_bytes(), arena_bytes);
-    }
-
-    #[test]
-    fn windowed_grid_is_bit_identical_to_resident() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let max_shard_bytes = resident.max_shard_edges() as u64 * BYTES_PER_EDGE;
-        for window_bytes in [0, max_shard_bytes, 1 << 20] {
-            let windowed = windowed_clone(&resident, window_bytes);
-            assert!(windowed.is_windowed());
-            assert!(!resident.is_windowed());
-            assert_eq!(windowed.total_edges(), resident.total_edges());
-            assert_eq!(windowed, resident, "window_bytes={window_bytes}");
-            for order in [
-                TraversalOrder::SourceStationary,
-                TraversalOrder::DestinationStationary,
-            ] {
-                let walk = |g: &ShardGrid| -> Vec<(ShardCoord, Vec<Edge>)> {
-                    g.occupied_traversal(order)
-                        .map(|s| (s.coord(), s.edges().to_vec()))
-                        .collect()
-                };
-                assert_eq!(
-                    walk(&windowed),
-                    walk(&resident),
-                    "window_bytes={window_bytes} {order}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tight_window_evicts_and_repeated_walks_hit() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 1).unwrap();
-        let occupied = resident.occupied_shards() as u64;
-        assert!(occupied > 2);
-        // Window fits exactly one single-edge shard: every new shard evicts.
-        let windowed = windowed_clone(&resident, BYTES_PER_EDGE);
-        let global_before = crate::memory::memory_telemetry();
-        assert_eq!(windowed, resident);
-        let stats = windowed.window().unwrap().stats();
-        assert_eq!(stats.misses, occupied);
-        assert_eq!(stats.evictions, occupied - 1);
-        // The global aggregates move in lockstep (other tests may add more).
-        let global_after = crate::memory::memory_telemetry();
-        assert!(global_after.window_misses >= global_before.window_misses + stats.misses);
-        assert!(global_after.window_evictions >= global_before.window_evictions + stats.evictions);
-        assert!(
-            global_after.window_faulted_bytes
-                >= global_before.window_faulted_bytes + occupied * BYTES_PER_EDGE
-        );
-
-        // A window big enough for everything faults each shard once, then
-        // serves the second walk entirely from residency.
-        let roomy = windowed_clone(&resident, 1 << 20);
-        let drain = |g: &ShardGrid| {
-            g.occupied_traversal(TraversalOrder::default())
-                .map(|s| s.num_edges())
-                .sum::<usize>()
-        };
-        drain(&roomy);
-        drain(&roomy);
-        let warm = roomy.window().unwrap().stats();
-        assert_eq!(warm.misses, occupied);
-        assert_eq!(warm.evictions, 0);
-        assert_eq!(warm.hits, occupied);
-    }
-
-    #[test]
-    fn dropping_a_window_returns_its_resident_bytes() {
-        let edges = sample_edges();
-        let resident = ShardGrid::build(&edges, 3).unwrap();
-        let windowed = windowed_clone(&resident, 1 << 20);
-        assert_eq!(windowed, resident);
-        let held = windowed.window().unwrap().resident_bytes();
-        assert_eq!(held, resident.total_edges() as u64 * BYTES_PER_EDGE);
-        // The process-wide gauge holds at least this window's bytes; exact
-        // return-to-baseline is asserted by the single-window integration
-        // test (tests/shard_window.rs), where no parallel test races the
-        // gauge.
-        assert!(crate::memory::window_resident_bytes() >= held);
-        drop(windowed);
-    }
-
-    #[test]
-    fn segment_equality_and_empty_view() {
-        let edges = sample_edges();
-        let grid = ShardGrid::build(&edges, 4).unwrap();
-        let meta = grid.metas()[0];
-        let seg = grid.edges_of(&meta);
-        assert_eq!(seg, grid.edges_of(&meta));
-        assert_eq!(seg, seg.to_vec());
-        assert_eq!(seg, *grid.edges_of(&meta));
-        let view = grid.shard(meta.coord());
-        let cloned = view.clone();
-        assert_eq!(cloned.edges(), view.edges());
     }
 }

@@ -1,5 +1,5 @@
 //! SIGKILL crash-safety for artifact writes: a writer killed mid-
-//! `store_grid` must never leave a torn artifact visible to a fresh
+//! `store_summary` must never leave a torn artifact visible to a fresh
 //! [`ArtifactCache`].
 //!
 //! The write discipline under test is temp-file + atomic rename: payload
@@ -9,12 +9,14 @@
 //! artifact, or an orphaned temp file the next cache open sweeps — never a
 //! half-written file under the artifact's name.
 
-use gnnerator_graph::{generators, ArtifactCache, EdgeList, GraphError, ShardGrid};
+use gnnerator_graph::{generators, ArtifactCache, EdgeList, GraphError, ShardSummary};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-const NODES_PER_SHARD: usize = 64;
+/// Small blocks make a summary with tens of thousands of shard records, so
+/// each store takes long enough for kills to land mid-write.
+const NODES_PER_SHARD: usize = 8;
 const KILL_ROUNDS: usize = 5;
 
 fn victim_edges() -> EdgeList {
@@ -22,10 +24,14 @@ fn victim_edges() -> EdgeList {
 }
 
 fn victim_key() -> String {
-    ArtifactCache::grid_key("kill9-victim", NODES_PER_SHARD, false)
+    ArtifactCache::summary_key("kill9-victim", NODES_PER_SHARD, false)
 }
 
-/// Helper body for the crash test: loops `store_grid` forever until the
+fn victim_summary() -> ShardSummary {
+    ShardSummary::build(&victim_edges(), NODES_PER_SHARD, false).unwrap()
+}
+
+/// Helper body for the crash test: loops `store_summary` forever until the
 /// parent SIGKILLs this process. Guarded by an environment variable so a
 /// plain `cargo test` run never enters the loop; the parent invokes it as
 /// `<this binary> kill9_child_writes_forever --exact --ignored`.
@@ -36,10 +42,10 @@ fn kill9_child_writes_forever() {
         return;
     };
     let cache = ArtifactCache::new(dir);
-    let grid = ShardGrid::build(&victim_edges(), NODES_PER_SHARD).unwrap();
+    let summary = victim_summary();
     let key = victim_key();
     loop {
-        cache.store_grid(&key, &grid).unwrap();
+        cache.store_summary(&key, &summary).unwrap();
     }
 }
 
@@ -47,7 +53,8 @@ fn kill9_child_writes_forever() {
 fn kill9_mid_write_leaves_no_torn_artifact() {
     let dir: PathBuf = std::env::temp_dir().join(format!("gnnerator-kill9-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let reference = ShardGrid::build(&victim_edges(), NODES_PER_SHARD).unwrap();
+    let edges = victim_edges();
+    let reference = victim_summary();
     let exe = std::env::current_exe().unwrap();
 
     for round in 0..KILL_ROUNDS {
@@ -72,12 +79,17 @@ fn kill9_mid_write_leaves_no_torn_artifact() {
         child.wait().unwrap();
 
         // A fresh cache over the crashed state must see either no artifact
-        // yet or the complete, checksum-valid grid — never an error, never
-        // a quarantine.
+        // yet or the complete, checksum-valid summary — never an error,
+        // never a quarantine.
         let cache = ArtifactCache::new(&dir);
-        match cache.load_grid(&victim_key()) {
+        match cache.load_summary(
+            &victim_key(),
+            edges.num_nodes(),
+            NODES_PER_SHARD,
+            edges.num_edges(),
+        ) {
             Ok(None) => {}
-            Ok(Some(grid)) => assert_eq!(grid, reference, "round {round}"),
+            Ok(Some(summary)) => assert_eq!(summary, reference, "round {round}"),
             Err(GraphError::CacheArtifact { .. }) => {
                 panic!("round {round}: torn artifact became visible")
             }
@@ -103,6 +115,6 @@ fn writes_visible(dir: &PathBuf) -> bool {
     entries.filter_map(|e| e.ok()).any(|e| {
         let name = e.file_name();
         let name = name.to_string_lossy();
-        name.contains(".tmp.") || name.starts_with("grid-")
+        name.contains(".tmp.") || name.starts_with("sum-")
     })
 }

@@ -6,7 +6,7 @@
 
 use gnnerator_graph::{
     generators, ArtifactCache, CsrGraph, Edge, EdgeList, EdgeListBuilder, MemoryBudget, ShardCoord,
-    ShardGrid, TraversalOrder,
+    ShardGrid, ShardSummary, TraversalOrder,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -195,10 +195,10 @@ proptest! {
                 .filter(|&c| !reference.bucket(c).is_empty())
                 .collect();
             let occupied: Vec<ShardCoord> =
-                grid.occupied_traversal(order).map(|s| s.coord()).collect();
+                grid.occupied_traversal(order).map(|meta| meta.coord()).collect();
             prop_assert_eq!(&occupied, &expected, "{}", order);
-            for shard in grid.occupied_traversal(order) {
-                prop_assert_eq!(shard.edges(), reference.bucket(shard.coord()));
+            for meta in grid.occupied_traversal(order) {
+                prop_assert_eq!(grid.edges_of(meta), reference.bucket(meta.coord()));
             }
         }
         // Row/column index walks agree with the reference too.
@@ -348,17 +348,32 @@ proptest! {
     }
 
     #[test]
-    fn streamed_shard_build_matches_the_in_memory_build(
+    fn streamed_summary_matches_the_reference_grid(
         edges in edge_list(),
-        nps in 1usize..10,
+        nps in 1usize..48,
+        mode in 0usize..4,
     ) {
-        prop_assume!(edges.num_nodes() > 0);
-        let grid = ShardGrid::build(&edges, nps).unwrap();
-        let mut sorted: Vec<Edge> = edges.iter().copied().collect();
-        sorted.sort_unstable();
-        let streamed =
-            ShardGrid::build_streamed(edges.num_nodes(), nps, sorted.into_iter()).unwrap();
-        prop_assert_eq!(streamed, grid);
+        let (include_self_loops, presorted) = (mode & 1 == 1, mode & 2 == 2);
+        // Random sizes, nodes-per-shard from 1 past the node count, lists
+        // with and without their own self-loops, edgeless lists, and both
+        // unsorted and sorted inputs: the one-pass summary must equal the
+        // metadata of the arena-sorting reference build over the list the
+        // compiler shards.
+        let edges = if presorted {
+            let mut sorted: Vec<Edge> = edges.iter().copied().collect();
+            sorted.sort_unstable();
+            EdgeList::from_edges(edges.num_nodes(), sorted).unwrap()
+        } else {
+            edges
+        };
+        let mut sharded = edges.clone();
+        if include_self_loops {
+            sharded.add_self_loops();
+        }
+        let reference = ShardGrid::build(&sharded, nps).unwrap();
+        let summary = ShardSummary::build(&edges, nps, include_self_loops).unwrap();
+        prop_assert_eq!(&summary, reference.summary());
+        prop_assert_eq!(summary.total_edges(), sharded.num_edges());
     }
 
     #[test]
@@ -389,22 +404,24 @@ proptest! {
     }
 
     #[test]
-    fn grid_cache_round_trip_is_bit_identical(edges in edge_list(), nps in 1usize..10) {
-        prop_assume!(edges.num_nodes() > 0);
-        let grid = ShardGrid::build(&edges, nps).unwrap();
+    fn summary_cache_round_trip_is_bit_identical(
+        edges in edge_list(),
+        nps in 1usize..10,
+        loops in 0usize..2,
+    ) {
+        let include_self_loops = loops == 1;
+        let summary = ShardSummary::build(&edges, nps, include_self_loops).unwrap();
         let dir = unique_cache_dir();
         let cache = ArtifactCache::new(&dir);
-        let key = ArtifactCache::grid_key("prop-graph", nps, false);
-        cache.store_grid(&key, &grid).unwrap();
-        let loaded = cache.load_grid(&key).unwrap().expect("stored artifact");
-        // A budget small enough to force many arena chunks through the
-        // segmented reader must reconstruct the identical grid.
-        let budgeted = ArtifactCache::new(&dir).with_memory_budget(MemoryBudget::bytes(64));
-        let segmented = budgeted.load_grid(&key).unwrap().expect("stored artifact");
+        let key = ArtifactCache::summary_key("prop-graph", nps, include_self_loops);
+        cache.store_summary(&key, &summary).unwrap();
+        let loaded = cache
+            .load_summary(&key, edges.num_nodes(), nps, summary.total_edges())
+            .unwrap()
+            .expect("stored artifact");
         std::fs::remove_dir_all(&dir).ok();
-        // Same arena, same metas, same indexes — full structural equality.
-        prop_assert_eq!(&loaded, &grid);
-        prop_assert_eq!(&segmented, &grid);
+        // Same metas, same indexes — full structural equality.
+        prop_assert_eq!(&loaded, &summary);
     }
 }
 
